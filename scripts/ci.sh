@@ -16,6 +16,9 @@
 #             and compared against the committed BENCH_*.json
 #             baselines (per-metric tolerance bands; any regression
 #             fails; rebaseline with scripts/perf_diff --rebaseline)
+#   bench     apbench/smoke.py: every BENCHMARK.json workload at
+#             --smoke size, untraced and traced, plus a --corrupt run
+#             that must fail; any workload reported FAILED fails
 #   simcheck  tier-1 rebuilt and re-run with the race/lock-order/
 #             invariant/page-lifecycle analyses armed, then a one-line
 #             summary of what the gate covered
@@ -56,6 +59,10 @@ scripts/lint.sh "${PLAIN}"
 
 step "perf (baselines: BENCH_*.json)"
 scripts/perf_diff "${PLAIN}"
+
+step "bench (apbench smoke)"
+# smoke.py exits nonzero when any workload prints FAILED.
+python3 apbench/smoke.py
 
 step "simcheck (${ARMED})"
 cmake -B "${ARMED}" -S . -DAP_SIMCHECK=ON \

@@ -89,7 +89,7 @@ class GvmRuntime
         if (!tb.tlbSlot) {
             auto tlb = std::make_shared<SoftTlb>(
                 tb, cfg_.tlbEntries, cfg_.kind,
-                w.costModel().scratchLatency, &fs_->device());
+                w.costModel().scratchLatency, fs_->device());
             tb.tlbSlot = tlb;
             // Track every TLB ever created (weakly: blocks own them)
             // so tenant teardown can audit all of them for stale

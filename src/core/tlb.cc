@@ -36,7 +36,7 @@ tlbEvictReasonName(TlbEvictReason r)
 }
 
 SoftTlb::SoftTlb(sim::ThreadBlock& tb, uint32_t n_entries, AptrKind kind,
-                 sim::Cycles lock_latency, sim::Device* dev_)
+                 sim::Cycles lock_latency, sim::Device& dev_)
     : nEntries(n_entries), dev(dev_)
 {
     AP_ASSERT(n_entries > 0, "TLB needs at least one entry");
@@ -63,15 +63,9 @@ SoftTlb::~SoftTlb()
     // survived to kernel exit and retires as Teardown at the current
     // device clock.
     for (Entry& e : entries) {
-        if (e.key == 0)
-            continue;
-        if (dev) {
-            retireEntryTelemetry(dev->stats(), e, TlbEvictReason::Teardown,
-                                 dev->engine().now());
-        } else {
-            retiredHits += e.hitCount;
-            liveEntries--;
-        }
+        if (e.key != 0)
+            retireEntryTelemetry(dev.stats(), e, TlbEvictReason::Teardown,
+                                 dev.engine().now());
     }
     // Cross-check: every hit this TLB put into core.tlb_hits must be
     // accounted on exactly one (now retired) entry — a mismatch means
@@ -115,9 +109,7 @@ SoftTlb::installEntryTelemetry(StatGroup& st, Entry& e, sim::Cycles now)
 void
 SoftTlb::maybeEmitOccupancy(sim::Cycles now)
 {
-    if (!dev)
-        return;
-    sim::Tracer& tr = dev->tracer();
+    sim::Tracer& tr = dev.tracer();
     if (!tr.enabled())
         return;
     if (everEmitted && now - lastEmit < sim::kCounterIntervalCycles)

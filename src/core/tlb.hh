@@ -63,11 +63,10 @@ class SoftTlb
      *                 plus a 4 B lock each, per paper section IV-D)
      * @param lock_latency cost of an entry-lock operation
      * @param dev      device whose stats/clock the destructor uses to
-     *                 retire entries still live at launch end (may be
-     *                 null: teardown telemetry is then skipped)
+     *                 retire entries still live at launch end
      */
     SoftTlb(sim::ThreadBlock& tb, uint32_t n_entries, AptrKind kind,
-            sim::Cycles lock_latency, sim::Device* dev = nullptr);
+            sim::Cycles lock_latency, sim::Device& dev);
 
     /**
      * Retire any still-live entries as Teardown evictions and, under
@@ -198,7 +197,7 @@ class SoftTlb
     uint32_t nEntries;
     std::vector<Entry> entries;
 
-    sim::Device* dev = nullptr; ///< teardown stats/clock/trace source
+    sim::Device& dev;           ///< teardown stats/clock/trace source
     std::string name;           ///< "tlb[blk<id>]" for diagnostics
     std::string occSeries;      ///< trace counter-series name
     uint32_t liveEntries = 0;   ///< populated entries right now

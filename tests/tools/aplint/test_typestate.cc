@@ -150,6 +150,38 @@ TEST(Typestate, LoopWideningCatchesUnboundedAcquire)
     EXPECT_NE(out[0].message.find("+inf"), std::string::npos);
 }
 
+TEST(Typestate, SwitchCasesAreAlternativesNotASequence)
+{
+    // Each case is entered from the switch head: one release per case
+    // nets -1 on every path, not -2.
+    EXPECT_TRUE(ts(std::string(kCacheDecl) +
+                   "void f(Cache& c, int k) "
+                   "AP_RELEASES_REF(\"pc.page\") {\n"
+                   "  switch (k) {\n"
+                   "  case 0:\n"
+                   "    c.dropRef(0);\n"
+                   "    break;\n"
+                   "  default:\n"
+                   "    c.dropRef(1);\n"
+                   "    break;\n"
+                   "  }\n"
+                   "}\n")
+                    .empty());
+    // Without a default the head reaches the exit untouched: [-1,0].
+    auto out = ts(std::string(kCacheDecl) +
+                  "void f(Cache& c, int k) "
+                  "AP_RELEASES_REF(\"pc.page\") {\n"
+                  "  switch (k) {\n"
+                  "  case 0:\n"
+                  "    c.dropRef(0);\n"
+                  "    break;\n"
+                  "  }\n"
+                  "}\n");
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_NE(out[0].message.find("[-1,0]"), std::string::npos)
+        << out[0].message;
+}
+
 TEST(Typestate, ReleaseBodiesMustNetExactlyMinusOne)
 {
     // A conditional drop nets [-1,0]: not a faithful release.
@@ -186,9 +218,10 @@ TEST(Typestate, WitnessChainNamesTheLeakingHelpers)
     std::vector<Finding> sink;
     GlobalModel g = buildGlobal(files, sink);
     CallGraph cg = buildCallGraph(files);
-    TypestateSummaries sums = computeRefSummaries(files, g, cg);
-    ASSERT_TRUE(sums.effects.count("helper1"));
-    EXPECT_EQ(sums.effects["helper1"]["pc.page"], (Interval{1, 1}));
+    Summaries sums = propagate(cg, g);
+    computeRefSummaries(files, g, cg, sums);
+    ASSERT_TRUE(sums.refEffects.count("helper1"));
+    EXPECT_EQ(sums.refEffects["helper1"]["pc.page"], (Interval{1, 1}));
 
     std::vector<Finding> out;
     runTypestate(files[0], g, &sums, out);
@@ -216,7 +249,8 @@ TEST(Typestate, TransitionClosurePropagatesThroughCallGraph)
     std::vector<Finding> sink;
     GlobalModel g = buildGlobal(files, sink);
     CallGraph cg = buildCallGraph(files);
-    TypestateSummaries sums = computeRefSummaries(files, g, cg);
+    Summaries sums = propagate(cg, g);
+    computeRefSummaries(files, g, cg, sums);
     // top's declared edge is witnessed two hops down through mid.
     EXPECT_TRUE(sums.transitions["mid"].count("Loading->Ready"));
     std::vector<Finding> out;
@@ -246,7 +280,8 @@ lintPageCache(const std::string& hh, const std::string& cc,
     std::vector<Finding> sink;
     GlobalModel g = buildGlobal(files, sink);
     CallGraph cg = buildCallGraph(files);
-    TypestateSummaries sums = computeRefSummaries(files, g, cg);
+    Summaries sums = propagate(cg, g);
+    computeRefSummaries(files, g, cg, sums);
     std::vector<Finding> out;
     runTypestate(files[1], g, &sums, out);
     size_t n = 0;

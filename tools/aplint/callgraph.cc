@@ -44,14 +44,6 @@ chainVia(const std::string& callee,
     return s;
 }
 
-void
-emit(std::vector<Finding>& out, const FileModel& m, int line,
-     std::string msg)
-{
-    out.push_back({m.path, line, "contract-propagation", std::move(msg),
-                   false});
-}
-
 /** Lock-handoff calls the no-yield rule family always skips. */
 bool
 isLockOp(const std::string& callee)
@@ -94,6 +86,7 @@ propagate(const CallGraph& cg, const GlobalModel& g)
     s.lockstep = g.lockstep;
     s.leaderOnly = g.leaderOnly;
     s.acquires = g.acquires;
+    s.transitions = g.transitions;
 
     // Monotone fixpoint: each pass can only add facts over finite
     // name sets, so iteration terminates even with recursion.
@@ -134,11 +127,13 @@ propagate(const CallGraph& cg, const GlobalModel& g)
                         chainVia(callee, s.leaderOnlyWitness);
                     changed = true;
                 }
-                // Acquires: plain transitive closure.
-                auto it = s.acquires.find(callee);
-                if (it != s.acquires.end()) {
-                    for (const std::string& cls : it->second)
-                        if (s.acquires[name].insert(cls).second)
+                // Acquires and transitions: plain transitive closure.
+                for (auto* closure : {&s.acquires, &s.transitions}) {
+                    auto it = closure->find(callee);
+                    if (it == closure->end())
+                        continue;
+                    for (const std::string& x : it->second)
+                        if ((*closure)[name].insert(x).second)
                             changed = true;
                 }
             }
@@ -181,7 +176,7 @@ runPropagation(const FileModel& m, const GlobalModel& g,
             // 1. AP_NO_YIELD body reaching a yield through a wrapper.
             if (noYieldFn &&
                 inferredOnly(sums.yields, g.yields, c.callee)) {
-                emit(findings, m, c.line,
+                emit(findings, m, c.line, "contract-propagation",
                      "'" + c.callee +
                          "' may yield the fiber transitively (" +
                          chainVia(c.callee, sums.yieldsWitness) +
@@ -193,7 +188,7 @@ runPropagation(const FileModel& m, const GlobalModel& g,
                 inferredOnly(sums.yields, g.yields, c.callee)) {
                 for (const HeldRegion& r : regions) {
                     if (inRegion(r, c.tokIndex)) {
-                        emit(findings, m, c.line,
+                        emit(findings, m, c.line, "contract-propagation",
                              "'" + c.callee +
                                  "' may yield transitively (" +
                                  chainVia(c.callee,
@@ -220,7 +215,7 @@ runPropagation(const FileModel& m, const GlobalModel& g,
                         if (laneIsh(id))
                             divergent = true;
                     if (divergent) {
-                        emit(findings, m, c.line,
+                        emit(findings, m, c.line, "contract-propagation",
                              "'" + c.callee +
                                  "' is lockstep by inference (" +
                                  chainVia(c.callee,
@@ -236,7 +231,7 @@ runPropagation(const FileModel& m, const GlobalModel& g,
             // 4. Inferred leader-only callee from a non-electing body.
             if (!elects && !g.leaderOnly.count(f.name) &&
                 inferredOnly(sums.leaderOnly, g.leaderOnly, c.callee)) {
-                emit(findings, m, c.line,
+                emit(findings, m, c.line, "contract-propagation",
                      "'" + c.callee + "' is leader-only by inference (" +
                          chainVia(c.callee, sums.leaderOnlyWitness) +
                          ") but '" + f.name +
@@ -259,7 +254,7 @@ runPropagation(const FileModel& m, const GlobalModel& g,
                         continue;
                     if (rank(r.lockClass) >= 0 && rank(d) >= 0 &&
                         rank(r.lockClass) >= rank(d)) {
-                        emit(findings, m, c.line,
+                        emit(findings, m, c.line, "contract-propagation",
                              "'" + c.callee +
                                  "' may transitively acquire '" + d +
                                  "' while '" + r.lockClass +

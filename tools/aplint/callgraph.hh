@@ -2,8 +2,8 @@
  * @file
  * Whole-program layer over the per-file parser output: a call graph
  * keyed by unqualified function name, bottom-up contract summaries
- * (effective AP_YIELDS / AP_LOCKSTEP / AP_LEADER_ONLY / AP_ACQUIRES
- * inferred from callees by worklist fixpoint), and the
+ * (effective AP_YIELDS / AP_LOCKSTEP / AP_LEADER_ONLY / AP_ACQUIRES /
+ * AP_TRANSITIONS inferred from callees by one fixpoint), and the
  * `contract-propagation` rule pass that diagnoses call sites whose
  * declared contract contradicts the inferred summary — including the
  * interprocedural lock-order closure cross-checked against the
@@ -45,12 +45,22 @@ struct CallGraph
     std::map<std::string, std::set<std::string>> callers;
 };
 
+/** Net-refcount interval; bounds at +/-kInf mean "unbounded". */
+struct Interval
+{
+    static constexpr int kInf = 1 << 20;
+    int lo = 0;
+    int hi = 0;
+    bool operator==(const Interval&) const = default;
+    bool zero() const { return lo == 0 && hi == 0; }
+};
+
 /**
- * Inferred (effective) contract summaries. Declared annotations are
- * included, so `yields.count(f)` answers "may f reach a yield point",
- * not "is f textually annotated". The `*Witness` maps hold a short
- * callee chain ("a -> b -> block") explaining each inference, for
- * diagnostics.
+ * Inferred (effective) contract summaries, the one struct every
+ * whole-program pass reads. Declared annotations are included, so
+ * `yields.count(f)` answers "may f reach a yield point", not "is f
+ * textually annotated". The `*Witness` maps hold a short callee chain
+ * ("a -> b -> block") explaining each inference, for diagnostics.
  */
 struct Summaries
 {
@@ -59,9 +69,15 @@ struct Summaries
     std::set<std::string> leaderOnly;
     /** Transitive closure of AP_ACQUIRES over the call graph. */
     std::map<std::string, std::set<std::string>> acquires;
+    /** Transitive closure of AP_TRANSITIONS over the call graph. */
+    std::map<std::string, std::set<std::string>> transitions;
     std::map<std::string, std::string> yieldsWitness;
     std::map<std::string, std::string> lockstepWitness;
     std::map<std::string, std::string> leaderOnlyWitness;
+    /** name -> class -> net ref effect over all return paths
+     *  (unannotated bodies only; see computeRefSummaries). */
+    std::map<std::string, std::map<std::string, Interval>> refEffects;
+    std::map<std::string, std::string> refWitness;
 };
 
 /** Build the merged call graph from every parsed file. */

@@ -1,5 +1,7 @@
 #include "dataflow.hh"
 
+#include "absint.hh"
+
 #include <map>
 #include <set>
 #include <string>
@@ -16,50 +18,50 @@ struct VarState
     std::string origin;    ///< producing callee
     std::string receiver;  ///< producer's receiver object (linked)
     int declLine = 0;
-    int depth = 0;         ///< block depth where tracking started
+    int depth = 0;         ///< scope depth where tracking started
     bool read = false;     ///< status: inspected on this path
     bool stale = false;    ///< linked: link gone on this path
     int staleLine = 0;
     std::string staleWhy;
-    bool reported = false; ///< one diagnostic per variable
 };
 
 using State = std::map<std::string, VarState>;
-
-/** Path-join: status needs reads on BOTH arms, staleness on either. */
-State
-join(const State& a, const State& b)
-{
-    State out = a;
-    for (const auto& [name, vb] : b) {
-        auto it = out.find(name);
-        if (it == out.end()) {
-            out[name] = vb;
-            continue;
-        }
-        VarState& va = it->second;
-        va.read = va.read && vb.read;
-        va.reported = va.reported || vb.reported;
-        if (!va.stale && vb.stale) {
-            va.stale = true;
-            va.staleLine = vb.staleLine;
-            va.staleWhy = vb.staleWhy;
-        }
-    }
-    return out;
-}
 
 /** Unlink operations that invalidate a receiver's linked frames. */
 const std::set<std::string> kUnlinkers = {"destroy", "gmunmap",
                                           "releaseLanes"};
 
-class FlowAnalyzer
+/**
+ * Fold @p from into @p to: a local tracked in only one is copied,
+ * staleness joins with OR, and the read bit with AND when @p allPaths
+ * (a path join: inspected on every path) or OR (a lambda merge).
+ */
+void
+mergeInto(State& to, const State& from, bool allPaths)
+{
+    for (const auto& [name, v] : from) {
+        auto [it, fresh] = to.emplace(name, v);
+        if (fresh)
+            continue;
+        VarState& t = it->second;
+        t.read = allPaths ? t.read && v.read : t.read || v.read;
+        if (!t.stale && v.stale) {
+            t.stale = true;
+            t.staleLine = v.staleLine;
+            t.staleWhy = v.staleWhy;
+        }
+    }
+}
+
+/** The must-check / linked-pointer domain over the shared driver. */
+class FlowAnalyzer : public AbsInt<FlowAnalyzer, State>
 {
   public:
+    static constexpr bool kInterpretLambdas = true;
+
     FlowAnalyzer(const FileModel& m, const Func& f, const GlobalModel& g,
                  const Summaries* sums, std::vector<Finding>& out)
-        : m_(m), f_(f), g_(g), sums_(sums), out_(out),
-          toks_(m.lx.tokens)
+        : AbsInt(m.lx.tokens), m_(m), f_(f), g_(g), sums_(sums), out_(out)
     {
         for (const Call& c : f.calls)
             callAt_[c.tokIndex] = &c;
@@ -67,11 +69,227 @@ class FlowAnalyzer
 
     void run()
     {
-        if (!f_.hasBody || f_.bodyEnd <= f_.bodyBegin + 1)
-            return;
-        State st;
-        analyzeSeq(f_.bodyBegin + 1, f_.bodyEnd - 1, st, 0);
-        killScope(st, 0);
+        if (f_.bodyEnd > f_.bodyBegin + 1)
+            walkFunction(f_.bodyBegin, f_.bodyEnd - 1);
+    }
+
+    // ---- lattice -------------------------------------------------------
+
+    /** Path join: status needs reads on BOTH paths, staleness on either. */
+    State join(const State& a, const State& b) const
+    {
+        State out = a;
+        mergeInto(out, b, true);
+        return out;
+    }
+
+    /** Height-two lattice: the second loop pass is already stable. */
+    void widen(State&, const State&) const {}
+
+    /**
+     * Fold a lambda body's exit state back into the enclosing one,
+     * optimistically: a read in the lambda counts as an inspection,
+     * and a local first assigned in the lambda (the `launch([&]{ st =
+     * ... })` idiom) stays tracked for the enclosing scope.
+     */
+    void mergeLambda(State& st, const State& body) const
+    {
+        mergeInto(st, body, false);
+    }
+
+    // ---- transfer functions -------------------------------------------
+
+    /** One generic (non-control-flow) statement [pos, end). */
+    void stmt(size_t pos, size_t end, State& st)
+    {
+        size_t eq = assignAt(pos, end);
+
+        bool isStatus = false, isLinked = false;
+        const Call* prod =
+            eq < end ? producerIn(eq + 1, end, isStatus, isLinked)
+                     : nullptr;
+
+        // Shape of the left-hand side, top level only.
+        size_t lhsIdents = 0, targetTok = SIZE_MAX;
+        bool lhsMember = false, lhsBrackets = false, lhsIoStatus = false;
+        {
+            int d = 0;
+            for (size_t i = pos; i < eq; ++i) {
+                const std::string& t = text(i);
+                if (t == "(" || t == "[" || t == "{") {
+                    ++d;
+                    if (t == "[")
+                        lhsBrackets = true;
+                    continue;
+                }
+                if (t == ")" || t == "]" || t == "}") {
+                    --d;
+                    continue;
+                }
+                if (d != 0)
+                    continue;
+                if (t == "." || t == "->")
+                    lhsMember = true;
+                if (toks_[i].kind == Tok::Ident) {
+                    ++lhsIdents;
+                    targetTok = i;
+                    if (t == "IoStatus")
+                        lhsIoStatus = true;
+                }
+            }
+        }
+
+        // A call stored into an IoStatus-typed local is a status
+        // producer even without an AP_MUST_CHECK annotation in scope.
+        if (eq < end && !prod && lhsIoStatus && !lhsMember) {
+            for (const Call* c : callsIn(eq + 1, end)) {
+                if (braceNested(eq + 1, c->tokIndex))
+                    continue;
+                prod = c;
+                isStatus = true;
+                break;
+            }
+        }
+
+        // Uses and call events in program order. The assignment
+        // target's own token is not a read of the old value.
+        bool plainTarget = eq < end && !lhsMember && !lhsBrackets &&
+                           targetTok != SIZE_MAX;
+        scanUses(pos, end, st, plainTarget ? targetTok : SIZE_MAX);
+
+        if (eq < end && plainTarget) {
+            const std::string name = text(targetTok);
+            if (lhsIdents == 1) {
+                // Assignment to an existing local.
+                auto it = st.find(name);
+                if (it != st.end() && it->second.isStatus &&
+                    !it->second.read) {
+                    reportVar(name, it->second, toks_[targetTok].line,
+                              "must-check-status",
+                              "status result of '" + it->second.origin +
+                                  "' (line " +
+                                  std::to_string(it->second.declLine) +
+                                  ") is overwritten before being "
+                                  "inspected");
+                }
+                if (prod)
+                    trackVar(st, name, *prod, isStatus, 0);
+                else if (it != st.end())
+                    st.erase(it);
+            } else if (prod) {
+                // Declaration with initializer.
+                st.erase(name);
+                trackVar(st, name, *prod, isStatus, depth());
+            }
+        } else if (eq < end && lhsMember && prod == nullptr) {
+            // Member store: a live linked local leaking into object
+            // state. (A direct linked call on the RHS is v1's case.)
+            for (const auto& [name, v] : st) {
+                if (!v.isLinked || v.stale)
+                    continue;
+                if (rangeHasIdent(eq + 1, end, name)) {
+                    report(toks_[pos].line, "linked-escape-v2",
+                           "storing raw pointer '" + name + "' (from '" +
+                               v.origin + "', line " +
+                               std::to_string(v.declLine) +
+                               ") into object state lets it outlive "
+                               "the link");
+                }
+            }
+        } else if (eq >= end) {
+            // No assignment: a must-check result used as a bare
+            // statement (optionally behind a (void) cast) is dropped.
+            size_t s = pos;
+            bool voided = false;
+            if (s + 2 < end && text(s) == "(" && text(s + 1) == "void" &&
+                text(s + 2) == ")") {
+                s += 3;
+                voided = true;
+            }
+            for (const Call* c : callsIn(pos, end)) {
+                if (!g_.mustCheck.count(c->callee))
+                    continue;
+                if (chainStart(toks_, c->tokIndex) != s)
+                    break; // nested in another expression: consumed
+                report(c->line, "must-check-status",
+                       "result of '" + c->callee +
+                           "' is AP_MUST_CHECK but is " +
+                           (voided ? "cast to void" : "discarded") +
+                           " at the call site");
+                break;
+            }
+        }
+    }
+
+    /** A condition reads everything in it; both worlds agree. */
+    void cond(size_t begin, size_t end, State& then, State& els)
+    {
+        scanUses(begin, end, then);
+        // `while ((st = poll()) != Ok)`: the fresh value is consumed
+        // by the comparison immediately, so track it already-read.
+        size_t eq = begin;
+        while (eq < end && text(eq) != "=")
+            ++eq;
+        bool isStatus = false, isLinked = false;
+        const Call* prod =
+            eq < end ? producerIn(eq + 1, end, isStatus, isLinked)
+                     : nullptr;
+        if (prod && eq > begin && toks_[eq - 1].kind == Tok::Ident) {
+            trackVar(then, text(eq - 1), *prod, isStatus, 0);
+            then[text(eq - 1)].read = true;
+        }
+        els = then;
+    }
+
+    void ret(size_t begin, size_t end, State& st)
+    {
+        // Returning a linked local hands the caller a pointer that
+        // dies with this frame's link — unless this function is
+        // itself annotated as vending linked pointers.
+        bool wrapper = g_.returnsLinked.count(f_.name) > 0;
+        int paren = 0;
+        for (size_t i = begin; i < end; ++i) {
+            const std::string& tx = text(i);
+            if (tx == "(" || tx == "[")
+                ++paren;
+            else if (tx == ")" || tx == "]")
+                --paren;
+            if (toks_[i].kind != Tok::Ident)
+                continue;
+            auto it = st.find(tx);
+            if (it == st.end() || !isVarUse(i, it->first))
+                continue;
+            const VarState& v = it->second;
+            // Only the returned value itself escapes; a linked var
+            // passed as a call argument (paren > 0) stays in-frame.
+            if (v.isLinked && !wrapper && paren == 0) {
+                reportVar(it->first, v, toks_[i].line, "linked-escape-v2",
+                          "returning raw pointer '" + it->first +
+                              "' (from '" + v.origin + "', line " +
+                              std::to_string(v.declLine) +
+                              ") lets it outlive the linking scope");
+            }
+        }
+        scanUses(begin, end, st);
+    }
+
+    /** Locals tracked at @p depth or deeper go out of scope. */
+    void exitScope(State& st, int depth)
+    {
+        for (auto it = st.begin(); it != st.end();) {
+            const VarState& v = it->second;
+            if (v.depth < depth) {
+                ++it;
+                continue;
+            }
+            if (v.isStatus && !v.read) {
+                reportVar(it->first, v, v.declLine, "must-check-status",
+                          "status result of '" + v.origin +
+                              "' is never inspected before '" +
+                              it->first + "' goes out of scope");
+            }
+            it = st.erase(it);
+        }
     }
 
   private:
@@ -80,61 +298,33 @@ class FlowAnalyzer
     const GlobalModel& g_;
     const Summaries* sums_;
     std::vector<Finding>& out_;
-    const std::vector<Token>& toks_;
     std::map<size_t, const Call*> callAt_;
-    std::set<std::string> emitted_; ///< dedupe across loop passes
+    /** (declLine, name): one diagnostic per tracked value. */
+    std::set<std::pair<int, std::string>> reported_;
 
     // ---- emission ------------------------------------------------------
 
-    void emit(int line, const char* rule, const std::string& msg)
+    void report(int line, const char* rule, const std::string& msg)
     {
-        std::string key =
-            std::string(rule) + ":" + std::to_string(line) + ":" + msg;
-        if (!emitted_.insert(key).second)
-            return;
-        out_.push_back({m_.path, line, rule, msg, false});
+        if (!suppressed())
+            emit(out_, m_, line, rule, msg);
+    }
+
+    void reportVar(const std::string& name, const VarState& v, int line,
+                   const char* rule, const std::string& msg)
+    {
+        if (!suppressed() && reported_.insert({v.declLine, name}).second)
+            emit(out_, m_, line, rule, msg);
     }
 
     // ---- token helpers -------------------------------------------------
-
-    const std::string& text(size_t i) const { return toks_[i].text; }
-
-    size_t matchGroup(size_t open, size_t bound) const
-    {
-        const std::string& o = text(open);
-        const std::string c = o == "(" ? ")" : o == "[" ? "]" : "}";
-        int depth = 0;
-        for (size_t i = open; i < bound; ++i) {
-            if (text(i) == o)
-                ++depth;
-            else if (text(i) == c && --depth == 0)
-                return i;
-        }
-        return bound;
-    }
-
-    /** End of a statement: first `;` outside any bracket group. */
-    size_t stmtEnd(size_t pos, size_t bound) const
-    {
-        int depth = 0;
-        for (size_t i = pos; i < bound; ++i) {
-            const std::string& t = text(i);
-            if (t == "(" || t == "[" || t == "{")
-                ++depth;
-            else if (t == ")" || t == "]" || t == "}")
-                --depth;
-            else if (t == ";" && depth <= 0)
-                return i;
-        }
-        return bound;
-    }
 
     /** Is token i a plain occurrence of a tracked variable name? */
     bool isVarUse(size_t i, const std::string& name) const
     {
         if (toks_[i].kind != Tok::Ident || text(i) != name)
             return false;
-        if (i + 1 < toks_.size() && text(i + 1) == "(")
+        if (is(i + 1, "("))
             return false; // a call, not the variable
         if (i > 0 && (text(i - 1) == "." || text(i - 1) == "->" ||
                       text(i - 1) == "::"))
@@ -144,34 +334,24 @@ class FlowAnalyzer
 
     bool callYields(const std::string& callee) const
     {
-        if (g_.yields.count(callee))
-            return true;
-        return sums_ && sums_->yields.count(callee) > 0;
+        return (sums_ ? sums_->yields : g_.yields).count(callee) > 0;
     }
 
     // ---- state transitions ---------------------------------------------
 
-    void markStaleAfterYield(State& st, const Call& c)
+    void markStale(State& st, const Call& c, bool yield)
     {
         for (auto& [name, v] : st) {
             if (!v.isLinked || v.stale)
                 continue;
-            v.stale = true;
-            v.staleLine = c.line;
-            v.staleWhy = "the yielding call '" + c.callee + "'";
-        }
-    }
-
-    void markStaleAfterUnlink(State& st, const Call& c)
-    {
-        for (auto& [name, v] : st) {
-            if (!v.isLinked || v.stale || v.receiver.empty() ||
-                v.receiver != c.receiver)
+            if (!yield && (v.receiver.empty() || v.receiver != c.receiver))
                 continue;
             v.stale = true;
             v.staleLine = c.line;
             v.staleWhy =
-                "'" + c.receiver + "." + c.callee + "()' unlinked it";
+                yield ? "the yielding call '" + c.callee + "'"
+                      : "'" + c.receiver + "." + c.callee +
+                            "()' unlinked it";
         }
     }
 
@@ -188,9 +368,9 @@ class FlowAnalyzer
             if (cit != callAt_.end()) {
                 const Call& c = *cit->second;
                 if (callYields(c.callee))
-                    markStaleAfterYield(st, c);
+                    markStale(st, c, true);
                 else if (kUnlinkers.count(c.callee))
-                    markStaleAfterUnlink(st, c);
+                    markStale(st, c, false);
                 continue;
             }
             if (i == skipTok || toks_[i].kind != Tok::Ident)
@@ -201,38 +381,18 @@ class FlowAnalyzer
             VarState& v = vit->second;
             if (v.isStatus)
                 v.read = true;
-            if (v.isLinked && v.stale && !v.reported) {
-                v.reported = true;
-                emit(toks_[i].line, "linked-escape-v2",
-                     "raw pointer '" + vit->first + "' from '" +
-                         v.origin + "' (line " +
-                         std::to_string(v.declLine) +
-                         ") is used after " + v.staleWhy + " (line " +
-                         std::to_string(v.staleLine) +
-                         "); the translation may have been remapped");
+            if (v.isLinked && v.stale) {
+                reportVar(vit->first, v, toks_[i].line, "linked-escape-v2",
+                          "raw pointer '" + vit->first + "' from '" +
+                              v.origin + "' (line " +
+                              std::to_string(v.declLine) +
+                              ") is used after " + v.staleWhy +
+                              " (line " + std::to_string(v.staleLine) +
+                              "); the translation may have been "
+                              "remapped");
             }
         }
     }
-
-    void killScope(State& st, int depth)
-    {
-        for (auto it = st.begin(); it != st.end();) {
-            VarState& v = it->second;
-            if (v.depth < depth) {
-                ++it;
-                continue;
-            }
-            if (v.isStatus && !v.read && !v.reported) {
-                emit(v.declLine, "must-check-status",
-                     "status result of '" + v.origin +
-                         "' is never inspected before '" + it->first +
-                         "' goes out of scope");
-            }
-            it = st.erase(it);
-        }
-    }
-
-    // ---- statement walkers ---------------------------------------------
 
     /** Calls in [begin, end), in token order. */
     std::vector<const Call*> callsIn(size_t begin, size_t end) const
@@ -289,371 +449,22 @@ class FlowAnalyzer
         return false;
     }
 
-    /** Top-level `=` (pure assignment token) in a statement range. */
-    size_t findAssign(size_t begin, size_t end) const
-    {
-        int depth = 0;
-        for (size_t i = begin; i < end; ++i) {
-            const std::string& t = text(i);
-            if (t == "(" || t == "[" || t == "{")
-                ++depth;
-            else if (t == ")" || t == "]" || t == "}")
-                --depth;
-            else if (t == "=" && depth == 0)
-                return i;
-        }
-        return end;
-    }
-
+    /**
+     * Start tracking @p name from producer @p c. An existing local
+     * keeps its scope; an untracked one lands at @p depth.
+     */
     void trackVar(State& st, const std::string& name, const Call& c,
                   bool isStatus, int depth)
     {
+        auto it = st.find(name);
         VarState v;
         v.isStatus = isStatus;
         v.isLinked = !isStatus;
         v.origin = c.callee;
         v.receiver = c.receiver;
         v.declLine = c.line;
-        v.depth = depth;
+        v.depth = it != st.end() ? it->second.depth : depth;
         st[name] = v;
-    }
-
-    /**
-     * Interpret brace groups embedded in a statement (lambda bodies)
-     * as statement sequences with a fresh state: a must-check result
-     * dropped inside a lambda is still a drop, while interactions with
-     * captured outer locals stay with the enclosing statement's
-     * conservative use scan.
-     */
-    void analyzeEmbeddedBlocks(size_t begin, size_t end, State& st,
-                               int depth)
-    {
-        for (size_t i = begin; i < end; ++i) {
-            if (text(i) != "{")
-                continue;
-            size_t close = matchGroup(i, end);
-            // Seed with the enclosing state so captured locals are
-            // recognized; lambda-local declarations die at the brace.
-            State local = st;
-            analyzeSeq(i + 1, close, local, depth + 1);
-            killScope(local, depth + 1);
-            // Merge captured-variable effects back, optimistically: a
-            // read in the lambda counts as an inspection, and a var
-            // first assigned in the lambda (the `launch([&]{ st =
-            // ... })` idiom) stays tracked for the enclosing scope.
-            for (auto& [name, v] : local) {
-                auto it = st.find(name);
-                if (it == st.end()) {
-                    st[name] = v;
-                    continue;
-                }
-                it->second.read = it->second.read || v.read;
-                it->second.reported = it->second.reported || v.reported;
-                if (v.stale && !it->second.stale) {
-                    it->second.stale = true;
-                    it->second.staleLine = v.staleLine;
-                    it->second.staleWhy = v.staleWhy;
-                }
-            }
-            i = close;
-        }
-    }
-
-    /** One generic (non-control-flow) statement. Returns past `;`. */
-    size_t analyzeStmt(size_t pos, size_t bound, State& st, int depth)
-    {
-        size_t end = stmtEnd(pos, bound);
-        size_t eq = findAssign(pos, end);
-
-        bool isStatus = false, isLinked = false;
-        const Call* prod =
-            eq < end ? producerIn(eq + 1, end, isStatus, isLinked)
-                     : nullptr;
-
-        // Shape of the left-hand side, top level only.
-        size_t lhsIdents = 0, targetTok = SIZE_MAX;
-        bool lhsMember = false, lhsBrackets = false, lhsIoStatus = false;
-        {
-            int d = 0;
-            for (size_t i = pos; i < eq; ++i) {
-                const std::string& t = text(i);
-                if (t == "(" || t == "[" || t == "{") {
-                    ++d;
-                    if (t == "[")
-                        lhsBrackets = true;
-                    continue;
-                }
-                if (t == ")" || t == "]" || t == "}") {
-                    --d;
-                    continue;
-                }
-                if (d != 0)
-                    continue;
-                if (t == "." || t == "->")
-                    lhsMember = true;
-                if (toks_[i].kind == Tok::Ident) {
-                    ++lhsIdents;
-                    targetTok = i;
-                    if (t == "IoStatus")
-                        lhsIoStatus = true;
-                }
-            }
-        }
-
-        // A call stored into an IoStatus-typed local is a status
-        // producer even without an AP_MUST_CHECK annotation in scope.
-        if (eq < end && !prod && lhsIoStatus && !lhsMember) {
-            for (const Call* c : callsIn(eq + 1, end)) {
-                if (braceNested(eq + 1, c->tokIndex))
-                    continue;
-                prod = c;
-                isStatus = true;
-                break;
-            }
-        }
-
-        // Uses and call events in program order. The assignment
-        // target's own token is not a read of the old value.
-        bool plainTarget = eq < end && !lhsMember && !lhsBrackets &&
-                           targetTok != SIZE_MAX;
-        scanUses(pos, end, st,
-                 plainTarget && lhsIdents >= 1 ? targetTok : SIZE_MAX);
-
-        if (eq < end && plainTarget) {
-            const std::string name = text(targetTok);
-            if (lhsIdents == 1) {
-                // Assignment to an existing local.
-                auto it = st.find(name);
-                if (it != st.end() && it->second.isStatus &&
-                    !it->second.read && !it->second.reported) {
-                    emit(toks_[targetTok].line, "must-check-status",
-                         "status result of '" + it->second.origin +
-                             "' (line " +
-                             std::to_string(it->second.declLine) +
-                             ") is overwritten before being "
-                             "inspected");
-                }
-                if (prod) {
-                    int d = it != st.end() ? it->second.depth : 0;
-                    trackVar(st, name, *prod, isStatus, d);
-                } else if (it != st.end()) {
-                    st.erase(it);
-                }
-            } else if (prod) {
-                // Declaration with initializer.
-                trackVar(st, name, *prod, isStatus, depth);
-            }
-        } else if (eq < end && lhsMember && prod == nullptr) {
-            // Member store: a live linked local leaking into object
-            // state. (A direct linked call on the RHS is v1's case.)
-            for (const auto& [name, v] : st) {
-                if (!v.isLinked || v.stale)
-                    continue;
-                if (rangeHasIdent(eq + 1, end, name)) {
-                    emit(toks_[pos].line, "linked-escape-v2",
-                         "storing raw pointer '" + name + "' (from '" +
-                             v.origin + "', line " +
-                             std::to_string(v.declLine) +
-                             ") into object state lets it outlive "
-                             "the link");
-                }
-            }
-        } else if (eq >= end) {
-            // No assignment: a must-check result used as a bare
-            // statement (optionally behind a (void) cast) is dropped.
-            size_t s = pos;
-            bool voided = false;
-            if (s + 2 < end && text(s) == "(" && text(s + 1) == "void" &&
-                text(s + 2) == ")") {
-                s += 3;
-                voided = true;
-            }
-            for (const Call* c : callsIn(pos, end)) {
-                if (!g_.mustCheck.count(c->callee))
-                    continue;
-                if (chainStart(toks_, c->tokIndex) != s)
-                    break; // nested in another expression: consumed
-                emit(c->line, "must-check-status",
-                     "result of '" + c->callee +
-                         "' is AP_MUST_CHECK but is " +
-                         (voided ? "cast to void" : "discarded") +
-                         " at the call site");
-                break;
-            }
-        }
-        analyzeEmbeddedBlocks(pos, end, st, depth);
-        return end < bound ? end + 1 : bound;
-    }
-
-    /** Condition / loop-header range: everything counts as a read. */
-    void scanCondition(size_t begin, size_t end, State& st)
-    {
-        scanUses(begin, end, st);
-        // `while ((st = poll()) != Ok)`: the fresh value is consumed
-        // by the comparison immediately, so track it already-read.
-        size_t eq = findAssignAnyDepth(begin, end);
-        if (eq == end)
-            return;
-        bool isStatus = false, isLinked = false;
-        const Call* prod = producerIn(eq + 1, end, isStatus, isLinked);
-        if (!prod || eq == begin ||
-            toks_[eq - 1].kind != Tok::Ident)
-            return;
-        trackVar(st, text(eq - 1), *prod, isStatus, 0);
-        st[text(eq - 1)].read = true;
-    }
-
-    size_t findAssignAnyDepth(size_t begin, size_t end) const
-    {
-        for (size_t i = begin; i < end; ++i)
-            if (text(i) == "=")
-                return i;
-        return end;
-    }
-
-    /** Dispatch exactly one statement or construct. */
-    size_t analyzeOne(size_t pos, size_t bound, State& st, int depth)
-    {
-        if (pos >= bound)
-            return bound;
-        const std::string& t = text(pos);
-        if (t == ";")
-            return pos + 1;
-        if (t == "{") {
-            size_t close = matchGroup(pos, bound);
-            analyzeSeq(pos + 1, close, st, depth + 1);
-            killScope(st, depth + 1);
-            return close + 1;
-        }
-        if (t == "if")
-            return analyzeIf(pos, bound, st, depth);
-        if (t == "while" || t == "for" || t == "switch" || t == "do")
-            return analyzeLoop(pos, bound, st, depth);
-        if (t == "return") {
-            size_t end = stmtEnd(pos, bound);
-            handleReturn(pos + 1, end, st);
-            analyzeEmbeddedBlocks(pos + 1, end, st, depth);
-            return end < bound ? end + 1 : bound;
-        }
-        if (t == "case" || t == "default") {
-            size_t i = pos;
-            while (i < bound && text(i) != ":")
-                ++i;
-            return i < bound ? i + 1 : bound;
-        }
-        if (t == "else") // dangling else after a non-if statement
-            return pos + 1;
-        return analyzeStmt(pos, bound, st, depth);
-    }
-
-    void analyzeSeq(size_t pos, size_t end, State& st, int depth)
-    {
-        while (pos < end) {
-            if (text(pos) == "}") {
-                ++pos;
-                continue;
-            }
-            pos = analyzeOne(pos, end, st, depth);
-        }
-    }
-
-    size_t analyzeIf(size_t pos, size_t bound, State& st, int depth)
-    {
-        size_t open = pos + 1;
-        if (text(open) == "constexpr")
-            ++open;
-        if (open >= bound || text(open) != "(")
-            return pos + 1;
-        size_t close = matchGroup(open, bound);
-        scanCondition(open + 1, close, st);
-        size_t p = close + 1;
-
-        State thenSt = st;
-        p = analyzeOne(p, bound, thenSt, depth);
-
-        if (p < bound && text(p) == "else") {
-            State elseSt = st;
-            p = analyzeOne(p + 1, bound, elseSt, depth);
-            st = join(thenSt, elseSt);
-        } else {
-            st = join(thenSt, st);
-        }
-        return p;
-    }
-
-    /**
-     * Loop widening: evaluate the body against the entry state, join
-     * to model "already iterated", evaluate once more, then join with
-     * the zero-iteration path. Duplicate diagnostics from the second
-     * pass are absorbed by the emission dedupe.
-     */
-    size_t analyzeLoop(size_t pos, size_t bound, State& st, int depth)
-    {
-        const bool isDo = text(pos) == "do";
-        size_t p = pos + 1;
-        if (!isDo) {
-            if (p >= bound || text(p) != "(")
-                return pos + 1;
-            size_t close = matchGroup(p, bound);
-            scanCondition(p + 1, close, st);
-            p = close + 1;
-        }
-
-        size_t bodyBegin = p, bodyEnd = p;
-        State s1 = st;
-        bodyEnd = analyzeOne(bodyBegin, bound, s1, depth);
-
-        State widened = join(st, s1);
-        State s2 = widened;
-        analyzeOne(bodyBegin, bound, s2, depth);
-
-        st = isDo ? join(s1, s2) : join(st, s2);
-        p = bodyEnd;
-
-        if (isDo && p < bound && text(p) == "while") {
-            size_t open = p + 1;
-            if (open < bound && text(open) == "(") {
-                size_t close = matchGroup(open, bound);
-                scanCondition(open + 1, close, st);
-                p = close + 1;
-            }
-            if (p < bound && text(p) == ";")
-                ++p;
-        }
-        return p;
-    }
-
-    void handleReturn(size_t begin, size_t end, State& st)
-    {
-        // Returning a linked local hands the caller a pointer that
-        // dies with this frame's link — unless this function is
-        // itself annotated as vending linked pointers.
-        bool wrapper = g_.returnsLinked.count(f_.name) > 0;
-        int paren = 0;
-        for (size_t i = begin; i < end; ++i) {
-            const std::string& tx = text(i);
-            if (tx == "(" || tx == "[")
-                ++paren;
-            else if (tx == ")" || tx == "]")
-                --paren;
-            if (toks_[i].kind != Tok::Ident)
-                continue;
-            auto it = st.find(tx);
-            if (it == st.end() || !isVarUse(i, it->first))
-                continue;
-            VarState& v = it->second;
-            // Only the returned value itself escapes; a linked var
-            // passed as a call argument (paren > 0) stays in-frame.
-            if (v.isLinked && !wrapper && !v.reported && paren == 0) {
-                v.reported = true;
-                emit(toks_[i].line, "linked-escape-v2",
-                     "returning raw pointer '" + it->first +
-                         "' (from '" + v.origin + "', line " +
-                         std::to_string(v.declLine) +
-                         ") lets it outlive the linking scope");
-            }
-        }
-        scanUses(begin, end, st);
     }
 };
 

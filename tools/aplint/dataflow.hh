@@ -1,17 +1,18 @@
 /**
  * @file
- * Per-function flow-sensitive dataflow over the token stream: a small
- * abstract interpreter that walks statements in order, forks state at
- * branches (joining the arms), and widens loops by evaluating the body
- * twice against the joined entry state. It powers two rule families:
+ * Per-function flow-sensitive dataflow over the token stream: one
+ * domain of the shared driver (absint.hh, which also states how
+ * paths, loops, `switch` and lambdas are walked). It powers two rule
+ * families:
  *
  *   must-check-status  A result of an AP_MUST_CHECK call (or any call
  *                      stored into an `IoStatus`-typed local) that is
  *                      discarded at the call site, overwritten before
  *                      being read, or goes out of scope uninspected on
- *                      some path. Any read — a condition, comparison,
- *                      argument, return, or member access — counts as
- *                      an inspection.
+ *                      some path (an early `return`, `break` or
+ *                      `continue` leaves scopes too). Any read — a
+ *                      condition, comparison, argument, return, or
+ *                      member access — counts as an inspection.
  *
  *   linked-escape-v2   A local raw pointer initialized from an
  *                      AP_RETURNS_LINKED / AP_REQUIRES_LINKED call
@@ -25,8 +26,6 @@
  * Lattices are deliberately tiny: status locals carry one bit (read /
  * unread, joined with AND so "inspected on every path" is required);
  * linked locals carry live / stale-with-witness (joined with OR).
- * Lambda bodies inside a statement are scanned for uses (a capture
- * counts as a read) but not interpreted statement-by-statement.
  */
 
 #ifndef APLINT_DATAFLOW_HH

@@ -265,21 +265,19 @@ analyze(const Options& opts)
 
     CallGraph cg;
     Summaries sums;
-    TypestateSummaries tsums;
     if (opts.wpa) {
         cg = buildCallGraph(models);
         sums = propagate(cg, g);
-        tsums = computeRefSummaries(models, g, cg);
+        computeRefSummaries(models, g, cg, sums);
     }
+    const Summaries* wpa = opts.wpa ? &sums : nullptr;
     for (const FileModel& m : models) {
         const auto f0 = std::chrono::steady_clock::now();
         runRules(m, g, report.findings);
-        if (opts.wpa)
+        if (wpa)
             runPropagation(m, g, cg, sums, report.findings);
-        runDataflow(m, g, opts.wpa ? &sums : nullptr,
-                    report.findings);
-        runTypestate(m, g, opts.wpa ? &tsums : nullptr,
-                     report.findings);
+        runDataflow(m, g, wpa, report.findings);
+        runTypestate(m, g, wpa, report.findings);
         if (opts.stats) {
             std::chrono::duration<double, std::milli> d =
                 std::chrono::steady_clock::now() - f0;

@@ -142,14 +142,14 @@ chainStart(const std::vector<Token>& toks, size_t i)
     return i;
 }
 
-namespace {
-
 void
 emit(std::vector<Finding>& out, const FileModel& m, int line,
      const char* rule, std::string msg)
 {
     out.push_back({m.path, line, rule, std::move(msg), false});
 }
+
+namespace {
 
 // ---- individual rules --------------------------------------------------
 

@@ -97,6 +97,10 @@ struct GlobalModel
 
 // ---- helpers shared with the whole-program passes ----------------------
 
+/** Append one finding of @p rule at @p line of @p m: every pass's emitter. */
+void emit(std::vector<Finding>& out, const FileModel& m, int line,
+          const char* rule, std::string msg);
+
 /** A [acquire, release) span of a registered lock class, token order. */
 struct HeldRegion
 {

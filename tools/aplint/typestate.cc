@@ -1,5 +1,7 @@
 #include "typestate.hh"
 
+#include "absint.hh"
+
 #include <algorithm>
 #include <deque>
 
@@ -77,7 +79,6 @@ struct AbsState
     std::map<std::string, std::string> pending;
     /** class -> inferred-effect witness chain for diagnostics. */
     std::map<std::string, std::string> via;
-    bool dead = false;
 };
 
 Interval
@@ -93,140 +94,202 @@ addNet(AbsState& st, const std::string& cls, Interval iv)
     st.net[cls] = addIv(getNet(st, cls), iv);
 }
 
-AbsState
-joinState(const AbsState& a, const AbsState& b)
-{
-    if (a.dead)
-        return b;
-    if (b.dead)
-        return a;
-    AbsState out;
-    std::set<std::string> keys;
-    for (const auto& [k, v] : a.net)
-        keys.insert(k);
-    for (const auto& [k, v] : b.net)
-        keys.insert(k);
-    for (const std::string& k : keys)
-        out.net[k] = joinIv(getNet(a, k), getNet(b, k));
-    for (const auto& [var, cls] : a.pending) {
-        auto it = b.pending.find(var);
-        if (it != b.pending.end() && it->second == cls)
-            out.pending[var] = cls;
-    }
-    out.via = a.via;
-    for (const auto& [k, v] : b.via)
-        out.via.emplace(k, v);
-    return out;
-}
-
-// ---- the path-sensitive walker ------------------------------------------
+// ---- the refcount domain ------------------------------------------------
 
 /**
- * Interprets one function body over its token range. Two-pass loop
- * widening; `return` snapshots the state (pass 2 only, so a loop's
- * first, narrower pass never double-reports) and kills the path.
+ * Net-refcount intervals per resource class over the shared driver
+ * (absint.hh). Returns snapshot the path as a function exit; lambda
+ * bodies are skipped.
  */
-class RefWalker
+class RefWalker : public AbsInt<RefWalker, AbsState>
 {
   public:
-    struct Exit
-    {
-        AbsState st;
-        int line;
-    };
+    static constexpr bool kInterpretLambdas = false;
 
-    RefWalker(const FileModel& m_, const Func& f_, const GlobalModel& g_,
-              const TypestateSummaries* sums_)
-        : m(m_), f(f_), g(g_), sums(sums_), toks(m_.lx.tokens)
+    RefWalker(const FileModel& m, const Func& f, const GlobalModel& g,
+              const Summaries* sums)
+        : AbsInt(m.lx.tokens), f_(f), g_(g), sums_(sums)
     {
         auto a = g.acquiresRef.find(f.name);
         if (a != g.acquiresRef.end())
-            ownClass = a->second;
+            ownClass_ = a->second;
         else {
             auto r = g.releasesRef.find(f.name);
             if (r != g.releasesRef.end())
-                ownClass = r->second;
+                ownClass_ = r->second;
         }
     }
 
     void run()
     {
-        if (!f.hasBody || f.bodyBegin >= toks.size())
-            return;
-        AbsState st;
-        size_t i = f.bodyBegin;
-        walkBlock(i, st);
-        if (!st.dead) {
-            int line = f.bodyEnd > 0 && f.bodyEnd - 1 < toks.size()
-                           ? toks[f.bodyEnd - 1].line
-                           : f.line;
-            exits.push_back({st, line});
-        }
+        if (f_.hasBody && f_.bodyEnd > f_.bodyBegin + 1)
+            exits = walkFunction(f_.bodyBegin, f_.bodyEnd - 1);
     }
 
     std::vector<Exit> exits;
     /** Classes with at least one tracked event in the body. */
     std::set<std::string> events;
 
-  private:
-    const FileModel& m;
-    const Func& f;
-    const GlobalModel& g;
-    const TypestateSummaries* sums;
-    const std::vector<Token>& toks;
-    std::string ownClass; ///< declared class for raw-CAS attribution
+    // ---- lattice --------------------------------------------------------
 
-    int suppress = 0; ///< >0 during a loop's first (widening) pass
-
-    struct LoopCtx
+    AbsState join(const AbsState& a, const AbsState& b) const
     {
-        std::vector<AbsState> breaks;
-        std::vector<AbsState> continues;
-    };
-    std::vector<LoopCtx> loops;
-    /** 'L' loop / 'S' switch, innermost last; `break` binds to back. */
-    std::vector<char> breakTargets;
-
-    bool atTok(size_t i, const char* s) const
-    {
-        return i < toks.size() && toks[i].text == s;
-    }
-    bool isIdent(size_t i) const
-    {
-        return i < toks.size() && toks[i].kind == Tok::Ident;
-    }
-
-    /** i at an opener; index of its matching closer. */
-    size_t matchTok(size_t i, const char* open, const char* close) const
-    {
-        int depth = 0;
-        for (; i < toks.size(); ++i) {
-            if (toks[i].text == open)
-                ++depth;
-            else if (toks[i].text == close && --depth == 0)
-                return i;
+        AbsState out;
+        for (const auto& [k, v] : a.net)
+            out.net[k] = joinIv(v, getNet(b, k));
+        for (const auto& [k, v] : b.net)
+            out.net.emplace(k, joinIv(getNet(a, k), v));
+        for (const auto& [var, cls] : a.pending) {
+            auto it = b.pending.find(var);
+            if (it != b.pending.end() && it->second == cls)
+                out.pending[var] = cls;
         }
-        return toks.size() - 1;
+        out.via = a.via;
+        out.via.insert(b.via.begin(), b.via.end());
+        return out;
+    }
+
+    /** Bounds that moved across the first pass go unbounded. */
+    void widen(AbsState& next, const AbsState& entry) const
+    {
+        for (auto& [cls, iv] : next.net) {
+            Interval e0 = getNet(entry, cls);
+            if (iv.lo < e0.lo)
+                iv.lo = -kInf;
+            if (iv.hi > e0.hi)
+                iv.hi = kInf;
+        }
+    }
+
+    // ---- transfer functions ---------------------------------------------
+
+    /** Call effects, plus `Type var = ...acq(...)...` bindings. */
+    void stmt(size_t b, size_t e, AbsState& st)
+    {
+        std::string var;
+        size_t eq = assignAt(b, e);
+        if (eq > b + 1 && eq < e && isIdent(eq - 1)) {
+            bool typish = true;
+            for (size_t k = b; k < eq && typish; ++k) {
+                const std::string& t = text(k);
+                typish = isIdent(k) || t == "::" || t == "<" ||
+                         t == ">" || t == "&" || t == "*" || t == ",";
+            }
+            if (typish)
+                var = text(eq - 1);
+        }
+
+        for (const CallSite& c : collectCalls(b, e)) {
+            applyCallEffect(c.callee, st);
+            if (!var.empty()) {
+                auto it = g_.acquiresRef.find(c.callee);
+                if (it != g_.acquiresRef.end())
+                    st.pending[var] = it->second;
+            }
+        }
     }
 
     /**
-     * i at a '[' lambda introducer: skip introducer, params, and the
-     * body wholesale (a lambda's effects do not run inline; see the
-     * soundness notes in DESIGN.md §9.2). Returns true if consumed.
+     * Split a branch condition [b, e) into success/failure worlds:
+     *  - `acq(...)` / `!acq(...)`: the declared acquisition lands only
+     *    in the world where the call succeeded;
+     *  - `r.ok()` / `!r.ok()` on a bound acquire result: the failure
+     *    world hands the reference back (-1) and the binding dies;
+     *  - `atomicCas(a, x, x+n) == x`: the delta lands on the success
+     *    comparison's world only.
+     * Everything else applies symmetrically.
      */
-    bool skipLambda(size_t& i)
+    void cond(size_t b, size_t e, AbsState& thenSt, AbsState& elseSt)
     {
-        size_t j = matchTok(i, "[", "]") + 1;
-        if (atTok(j, "("))
-            j = matchTok(j, "(", ")") + 1;
+        size_t first = b;
+        while (first < e && is(first, "("))
+            ++first;
+        bool neg = first < e && is(first, "!");
+
+        auto calls = collectCalls(b, e);
+        size_t acqIdx = SIZE_MAX;
+        std::string acqClass;
+        for (const CallSite& c : calls) {
+            auto it = g_.acquiresRef.find(c.callee);
+            if (it != g_.acquiresRef.end()) {
+                acqIdx = c.idx;
+                acqClass = it->second;
+                break;
+            }
+        }
+        for (const CallSite& c : calls) {
+            if (c.idx == acqIdx)
+                continue;
+            applyCallEffect(c.callee, thenSt);
+            applyCallEffect(c.callee, elseSt);
+        }
+        if (acqIdx != SIZE_MAX) {
+            AbsState& success = neg ? elseSt : thenSt;
+            addNet(success, acqClass, {1, 1});
+            events.insert(acqClass);
+            return;
+        }
+        // bound-result inspection: [!] var . ok (
+        for (size_t i = b; i + 3 < e; ++i) {
+            if (!isIdent(i))
+                continue;
+            auto p = thenSt.pending.find(text(i));
+            if (p == thenSt.pending.end())
+                continue;
+            if ((is(i + 1, ".") || is(i + 1, "->")) && is(i + 2, "ok") &&
+                is(i + 3, "(")) {
+                const std::string cls = p->second;
+                AbsState& failure = neg ? thenSt : elseSt;
+                addNet(failure, cls, {-1, -1});
+                thenSt.pending.erase(text(i));
+                elseSt.pending.erase(text(i));
+                return;
+            }
+        }
+        // raw CAS idiom, attributed to the function's declared class
+        if (!ownClass_.empty()) {
+            size_t after = 0;
+            int d = casDelta(b, e, &after);
+            if (d != 0) {
+                bool successIsThen = !(after < e && is(after, "!="));
+                AbsState& success = successIsThen ? thenSt : elseSt;
+                addNet(success, ownClass_, {d, d});
+                events.insert(ownClass_);
+            }
+        }
+    }
+
+    void ret(size_t b, size_t e, AbsState& st)
+    {
+        for (const CallSite& c : collectCalls(b, e))
+            applyCallEffect(c.callee, st);
+    }
+
+    void exitScope(AbsState&, int) const {}
+
+  private:
+    const Func& f_;
+    const GlobalModel& g_;
+    const Summaries* sums_;
+    std::string ownClass_; ///< declared class for raw-CAS attribution
+
+    /**
+     * i at a '[' lambda introducer: skip introducer, params, and the
+     * body wholesale (a lambda's effects do not run inline; see
+     * absint.hh). Returns true if consumed.
+     */
+    bool skipLambda(size_t& i) const
+    {
+        size_t j = match(i, toks_.size()) + 1;
+        if (is(j, "("))
+            j = match(j, toks_.size()) + 1;
         // qualifiers / trailing return type before the body
         size_t guard = 0;
-        while (j < toks.size() && !atTok(j, "{") && guard++ < 8) {
-            if (atTok(j, "->")) {
+        while (j < toks_.size() && !is(j, "{") && guard++ < 8) {
+            if (is(j, "->")) {
                 ++j;
-                while (j < toks.size() && !atTok(j, "{") &&
-                       !atTok(j, ";") && !atTok(j, ",") &&
-                       !atTok(j, ")"))
+                while (j < toks_.size() && !is(j, "{") && !is(j, ";") &&
+                       !is(j, ",") && !is(j, ")"))
                     ++j;
                 break;
             }
@@ -234,34 +297,30 @@ class RefWalker
                 break;
             ++j;
         }
-        if (!atTok(j, "{"))
+        if (!is(j, "{"))
             return false; // subscript or attribute, not a lambda
-        i = matchTok(j, "{", "}") + 1;
+        i = match(j, toks_.size()) + 1;
         return true;
     }
 
-    // ---- call effects ---------------------------------------------------
-
     void applyCallEffect(const std::string& callee, AbsState& st)
     {
-        auto a = g.acquiresRef.find(callee);
-        if (a != g.acquiresRef.end()) {
+        auto a = g_.acquiresRef.find(callee);
+        if (a != g_.acquiresRef.end()) {
             addNet(st, a->second, {1, 1});
             events.insert(a->second);
             return;
         }
-        auto r = g.releasesRef.find(callee);
-        if (r != g.releasesRef.end()) {
+        auto r = g_.releasesRef.find(callee);
+        if (r != g_.releasesRef.end()) {
             addNet(st, r->second, {-1, -1});
             events.insert(r->second);
             return;
         }
-        if (g.balanced.count(callee))
-            return; // declared net-zero boundary
-        if (!sums)
-            return;
-        auto it = sums->effects.find(callee);
-        if (it == sums->effects.end())
+        if (g_.balanced.count(callee) || !sums_)
+            return; // declared net-zero boundary, or no summaries
+        auto it = sums_->refEffects.find(callee);
+        if (it == sums_->refEffects.end())
             return;
         for (const auto& [cls, iv] : it->second) {
             if (iv.zero())
@@ -269,8 +328,8 @@ class RefWalker
             addNet(st, cls, iv);
             events.insert(cls);
             std::string chain = callee;
-            auto w = sums->witness.find(callee);
-            if (w != sums->witness.end() && !w->second.empty())
+            auto w = sums_->refWitness.find(callee);
+            if (w != sums_->refWitness.end() && !w->second.empty())
                 chain += " -> " + w->second;
             st.via[cls] = chain;
         }
@@ -283,20 +342,18 @@ class RefWalker
     };
 
     /** Direct `name(` call sites in [b, e), skipping lambda bodies. */
-    std::vector<CallSite> collectCalls(size_t b, size_t e)
+    std::vector<CallSite> collectCalls(size_t b, size_t e) const
     {
         std::vector<CallSite> out;
-        for (size_t i = b; i < e && i < toks.size();) {
-            if (atTok(i, "[")) {
+        for (size_t i = b; i < e && i < toks_.size();) {
+            if (is(i, "[")) {
                 size_t save = i;
-                if (skipLambda(i))
-                    continue;
-                i = save + 1;
+                if (!skipLambda(i))
+                    i = save + 1;
                 continue;
             }
-            if (isIdent(i) && !keywordIsh(toks[i].text) &&
-                atTok(i + 1, "("))
-                out.push_back({i, toks[i].text});
+            if (isIdent(i) && !keywordIsh(text(i)) && is(i + 1, "("))
+                out.push_back({i, text(i)});
             ++i;
         }
         return out;
@@ -309,22 +366,22 @@ class RefWalker
      * the shape: its second argument is not the re-added identifier).
      * On success *cmpAfter receives the token after the call's `)`.
      */
-    int casDelta(size_t b, size_t e, size_t* cmpAfter)
+    int casDelta(size_t b, size_t e, size_t* cmpAfter) const
     {
-        for (size_t i = b; i < e && i < toks.size(); ++i) {
-            if (!isIdent(i) || toks[i].text != "atomicCas")
+        for (size_t i = b; i < e && i < toks_.size(); ++i) {
+            if (!isIdent(i) || text(i) != "atomicCas")
                 continue;
             size_t j = i + 1;
-            if (atTok(j, "<"))
-                j = matchTok(j, "<", ">") + 1;
-            if (!atTok(j, "("))
+            if (is(j, "<"))
+                j = match(j, toks_.size()) + 1;
+            if (!is(j, "("))
                 continue;
-            size_t close = matchTok(j, "(", ")");
+            size_t close = match(j, toks_.size());
             // split three top-level args
             std::vector<std::vector<size_t>> args(1);
             int depth = 0;
             for (size_t k = j + 1; k < close; ++k) {
-                const std::string& t = toks[k].text;
+                const std::string& t = text(k);
                 if (t == "(" || t == "[" || t == "{" || t == "<")
                     ++depth;
                 else if (t == ")" || t == "]" || t == "}" || t == ">")
@@ -342,10 +399,9 @@ class RefWalker
             if (!isIdent(oldv))
                 continue;
             // arg3 must be `<old> + n` or `<old> - n`
-            if (!isIdent(args[2][0]) ||
-                toks[args[2][0]].text != toks[oldv].text)
+            if (!isIdent(args[2][0]) || text(args[2][0]) != text(oldv))
                 continue;
-            const std::string& op = toks[args[2][1]].text;
+            const std::string& op = text(args[2][1]);
             if (op != "+" && op != "-")
                 continue;
             if (cmpAfter)
@@ -353,499 +409,6 @@ class RefWalker
             return op == "+" ? 1 : -1;
         }
         return 0;
-    }
-
-    /** Plain effect application for every call in [b, e). */
-    void applyCalls(size_t b, size_t e, AbsState& st, size_t skipIdx)
-    {
-        for (const CallSite& c : collectCalls(b, e)) {
-            if (c.idx == skipIdx)
-                continue;
-            applyCallEffect(c.callee, st);
-        }
-    }
-
-    /**
-     * Split a branch condition [b, e) into success/failure worlds:
-     *  - `acq(...)` / `!acq(...)`: the declared acquisition lands only
-     *    in the world where the call succeeded;
-     *  - `r.ok()` / `!r.ok()` on a bound acquire result: the failure
-     *    world hands the reference back (-1) and the binding dies;
-     *  - `atomicCas(a, x, x+n) == x`: the delta lands on the success
-     *    comparison's world only.
-     * Everything else applies symmetrically.
-     */
-    void applyCondition(size_t b, size_t e, AbsState& thenSt,
-                        AbsState& elseSt)
-    {
-        size_t first = b;
-        while (first < e && toks[first].text == "(")
-            ++first;
-        bool neg = first < e && toks[first].text == "!";
-
-        auto calls = collectCalls(b, e);
-        size_t acqIdx = static_cast<size_t>(-1);
-        std::string acqClass;
-        for (const CallSite& c : calls) {
-            auto it = g.acquiresRef.find(c.callee);
-            if (it != g.acquiresRef.end()) {
-                acqIdx = c.idx;
-                acqClass = it->second;
-                break;
-            }
-        }
-        for (const CallSite& c : calls) {
-            if (c.idx == acqIdx)
-                continue;
-            applyCallEffect(c.callee, thenSt);
-            applyCallEffect(c.callee, elseSt);
-        }
-        if (acqIdx != static_cast<size_t>(-1)) {
-            AbsState& success = neg ? elseSt : thenSt;
-            addNet(success, acqClass, {1, 1});
-            events.insert(acqClass);
-            return;
-        }
-        // bound-result inspection: [!] var . ok (
-        for (size_t i = b; i + 3 < e; ++i) {
-            if (!isIdent(i))
-                continue;
-            auto p = thenSt.pending.find(toks[i].text);
-            if (p == thenSt.pending.end())
-                continue;
-            if ((toks[i + 1].text == "." || toks[i + 1].text == "->") &&
-                toks[i + 2].text == "ok" && toks[i + 3].text == "(") {
-                const std::string cls = p->second;
-                AbsState& failure = neg ? thenSt : elseSt;
-                addNet(failure, cls, {-1, -1});
-                thenSt.pending.erase(toks[i].text);
-                elseSt.pending.erase(toks[i].text);
-                return;
-            }
-        }
-        // raw CAS idiom, attributed to the function's declared class
-        if (!ownClass.empty()) {
-            size_t after = 0;
-            int d = casDelta(b, e, &after);
-            if (d != 0) {
-                bool successIsThen =
-                    !(after < e && toks[after].text == "!=");
-                AbsState& success = successIsThen ? thenSt : elseSt;
-                addNet(success, ownClass,
-                       {d, d});
-                events.insert(ownClass);
-            }
-        }
-    }
-
-    // ---- statements -----------------------------------------------------
-
-    void walkBlock(size_t& i, AbsState& st)
-    {
-        ++i; // past '{'
-        while (i < toks.size() && !atTok(i, "}"))
-            walkStmt(i, st);
-        if (i < toks.size())
-            ++i; // past '}'
-    }
-
-    void walkStmtOrBlock(size_t& i, AbsState& st)
-    {
-        if (atTok(i, "{"))
-            walkBlock(i, st);
-        else
-            walkStmt(i, st);
-    }
-
-    void walkStmt(size_t& i, AbsState& st)
-    {
-        if (i >= toks.size())
-            return;
-        const std::string& s = toks[i].text;
-        if (s == "{") {
-            walkBlock(i, st);
-            return;
-        }
-        if (s == ";") {
-            ++i;
-            return;
-        }
-        if (toks[i].kind == Tok::Ident) {
-            if (s == "if") {
-                walkIf(i, st);
-                return;
-            }
-            if (s == "while") {
-                walkWhile(i, st);
-                return;
-            }
-            if (s == "for") {
-                walkFor(i, st);
-                return;
-            }
-            if (s == "do") {
-                walkDo(i, st);
-                return;
-            }
-            if (s == "switch") {
-                walkSwitch(i, st);
-                return;
-            }
-            if (s == "return") {
-                walkReturn(i, st);
-                return;
-            }
-            if (s == "break") {
-                ++i;
-                if (atTok(i, ";"))
-                    ++i;
-                if (!breakTargets.empty() &&
-                    breakTargets.back() == 'L') {
-                    if (!st.dead)
-                        loops.back().breaks.push_back(st);
-                    st.dead = true;
-                }
-                // a switch-break falls through to the join linearly
-                return;
-            }
-            if (s == "continue") {
-                ++i;
-                if (atTok(i, ";"))
-                    ++i;
-                if (!loops.empty()) {
-                    if (!st.dead)
-                        loops.back().continues.push_back(st);
-                    st.dead = true;
-                }
-                return;
-            }
-            if (s == "case") {
-                while (i < toks.size() && !atTok(i, ":"))
-                    ++i;
-                if (i < toks.size())
-                    ++i;
-                return;
-            }
-            if (s == "default" && atTok(i + 1, ":")) {
-                i += 2;
-                return;
-            }
-            if (s == "else") {
-                // dangling else from an unrecognized shape: walk it
-                ++i;
-                walkStmtOrBlock(i, st);
-                return;
-            }
-        }
-        walkExprStmt(i, st);
-    }
-
-    void walkIf(size_t& i, AbsState& st)
-    {
-        ++i; // 'if'
-        if (atTok(i, "constexpr"))
-            ++i;
-        size_t cb = 0, ce = 0;
-        if (atTok(i, "(")) {
-            cb = i + 1;
-            ce = matchTok(i, "(", ")");
-            i = ce + 1;
-        }
-        AbsState thenSt = st;
-        AbsState elseSt = st;
-        if (cb)
-            applyCondition(cb, ce, thenSt, elseSt);
-        walkStmtOrBlock(i, thenSt);
-        if (atTok(i, "else")) {
-            ++i;
-            walkStmtOrBlock(i, elseSt);
-        }
-        st = joinState(thenSt, elseSt);
-    }
-
-    bool condInfinite(size_t b, size_t e) const
-    {
-        if (b >= e)
-            return true;
-        return e - b == 1 &&
-               (toks[b].text == "true" || toks[b].text == "1");
-    }
-
-    /**
-     * Shared loop engine: pass 1 (suppressed) to learn the back-edge
-     * state, widen bounds still moving, pass 2 to check. `continue`
-     * joins the back edge, `break` the exit; an infinite loop's exit
-     * is its breaks alone.
-     */
-    void runLoop(size_t& i, AbsState& st, size_t cb, size_t ce,
-                 size_t ib, size_t ie, bool infinite, bool condFirst)
-    {
-        const AbsState entry = st;
-        const size_t bodyStart = i;
-
-        auto pass = [&](const AbsState& in, LoopCtx& ctx,
-                        AbsState& out, size_t& endPos) {
-            loops.push_back({});
-            breakTargets.push_back('L');
-            out = in;
-            if (condFirst && cb)
-                applyCalls(cb, ce, out, static_cast<size_t>(-1));
-            size_t j = bodyStart;
-            walkStmtOrBlock(j, out);
-            if (ib)
-                applyCalls(ib, ie, out, static_cast<size_t>(-1));
-            ctx = loops.back();
-            loops.pop_back();
-            breakTargets.pop_back();
-            endPos = j;
-        };
-
-        LoopCtx c1, c2;
-        AbsState s1, s2;
-        size_t end1 = bodyStart, end2 = bodyStart;
-        ++suppress;
-        pass(entry, c1, s1, end1);
-        --suppress;
-
-        AbsState back = s1;
-        for (const AbsState& c : c1.continues)
-            back = joinState(back, c);
-        AbsState in2 = joinState(entry, back);
-        widen(in2, entry);
-
-        pass(in2, c2, s2, end2);
-        i = end2;
-
-        AbsState exit;
-        exit.dead = true;
-        if (!infinite) {
-            exit = entry;
-            if (condFirst && cb)
-                applyCalls(cb, ce, exit, static_cast<size_t>(-1));
-            exit = joinState(exit, s2);
-        }
-        for (const AbsState& bst : c2.breaks)
-            exit = joinState(exit, bst);
-        st = exit;
-    }
-
-    /** Bounds that moved across the first pass go unbounded. */
-    static void widen(AbsState& in2, const AbsState& entry)
-    {
-        for (auto& [cls, iv] : in2.net) {
-            Interval e0 = getNet(entry, cls);
-            if (iv.lo < e0.lo)
-                iv.lo = -kInf;
-            if (iv.hi > e0.hi)
-                iv.hi = kInf;
-        }
-    }
-
-    void walkWhile(size_t& i, AbsState& st)
-    {
-        ++i; // 'while'
-        size_t cb = 0, ce = 0;
-        if (atTok(i, "(")) {
-            cb = i + 1;
-            ce = matchTok(i, "(", ")");
-            i = ce + 1;
-        }
-        runLoop(i, st, cb, ce, 0, 0, condInfinite(cb, ce), true);
-    }
-
-    void walkFor(size_t& i, AbsState& st)
-    {
-        ++i; // 'for'
-        size_t cb = 0, ce = 0, ib = 0, ie = 0;
-        if (atTok(i, "(")) {
-            size_t open = i;
-            size_t close = matchTok(i, "(", ")");
-            // find top-level ';' separators
-            std::vector<size_t> semis;
-            int depth = 0;
-            for (size_t k = open + 1; k < close; ++k) {
-                const std::string& t = toks[k].text;
-                if (t == "(" || t == "[" || t == "{")
-                    ++depth;
-                else if (t == ")" || t == "]" || t == "}")
-                    --depth;
-                else if (t == ";" && depth == 0)
-                    semis.push_back(k);
-            }
-            if (semis.size() >= 2) {
-                applyCalls(open + 1, semis[0], st,
-                           static_cast<size_t>(-1)); // init
-                cb = semis[0] + 1;
-                ce = semis[1];
-                ib = semis[1] + 1;
-                ie = close;
-            } else {
-                // range-for: header effects once, conditional loop
-                applyCalls(open + 1, close, st,
-                           static_cast<size_t>(-1));
-            }
-            i = close + 1;
-        }
-        runLoop(i, st, cb, ce, ib, ie,
-                cb != 0 || ib != 0 ? condInfinite(cb, ce) : false,
-                true);
-    }
-
-    void walkDo(size_t& i, AbsState& st)
-    {
-        ++i; // 'do'
-        const AbsState entry = st;
-        const size_t bodyStart = i;
-
-        auto pass = [&](const AbsState& in, LoopCtx& ctx,
-                        AbsState& out, size_t& endPos) {
-            loops.push_back({});
-            breakTargets.push_back('L');
-            out = in;
-            size_t j = bodyStart;
-            walkStmtOrBlock(j, out);
-            ctx = loops.back();
-            loops.pop_back();
-            breakTargets.pop_back();
-            endPos = j;
-        };
-
-        LoopCtx c1, c2;
-        AbsState s1, s2;
-        size_t end1 = bodyStart, end2 = bodyStart;
-        ++suppress;
-        pass(entry, c1, s1, end1);
-        --suppress;
-        AbsState back = s1;
-        for (const AbsState& c : c1.continues)
-            back = joinState(back, c);
-        AbsState in2 = joinState(entry, back);
-        widen(in2, entry);
-        pass(in2, c2, s2, end2);
-        i = end2;
-
-        // trailing `while (cond);`
-        if (atTok(i, "while")) {
-            ++i;
-            if (atTok(i, "(")) {
-                size_t close = matchTok(i, "(", ")");
-                applyCalls(i + 1, close, s2, static_cast<size_t>(-1));
-                i = close + 1;
-            }
-            if (atTok(i, ";"))
-                ++i;
-        }
-        AbsState exit = s2; // body runs at least once
-        for (const AbsState& bst : c2.breaks)
-            exit = joinState(exit, bst);
-        st = exit;
-    }
-
-    void walkSwitch(size_t& i, AbsState& st)
-    {
-        ++i; // 'switch'
-        if (atTok(i, "(")) {
-            size_t close = matchTok(i, "(", ")");
-            applyCalls(i + 1, close, st, static_cast<size_t>(-1));
-            i = close + 1;
-        }
-        // linear-block approximation: case labels are noise, breaks
-        // fall through to the join (documented in DESIGN.md §9.2)
-        breakTargets.push_back('S');
-        walkStmtOrBlock(i, st);
-        breakTargets.pop_back();
-    }
-
-    void walkReturn(size_t& i, AbsState& st)
-    {
-        int line = toks[i].line;
-        ++i; // 'return'
-        size_t b = i;
-        scanToSemi(i);
-        applyCalls(b, i, st, static_cast<size_t>(-1));
-        if (atTok(i, ";"))
-            ++i;
-        if (!st.dead) {
-            if (suppress == 0)
-                exits.push_back({st, line});
-            st.dead = true;
-        }
-    }
-
-    /** Advance i to the statement-ending ';' (not past it). */
-    void scanToSemi(size_t& i)
-    {
-        int depth = 0;
-        while (i < toks.size()) {
-            const std::string& t = toks[i].text;
-            if (t == ";" && depth == 0)
-                return;
-            if (t == "(" || t == "{")
-                ++depth;
-            else if (t == ")" || t == "}") {
-                if (depth == 0)
-                    return; // stray closer: enclosing scope ends
-                --depth;
-            } else if (t == "[") {
-                size_t save = i;
-                if (skipLambda(i))
-                    continue;
-                i = save;
-            }
-            ++i;
-        }
-    }
-
-    void walkExprStmt(size_t& i, AbsState& st)
-    {
-        size_t b = i;
-        scanToSemi(i);
-        size_t e = i;
-        if (atTok(i, ";"))
-            ++i;
-        else if (atTok(i, ")") || atTok(i, "}"))
-            ++i; // malformed fragment; resynchronize
-
-        // declaration-with-binding: `Type var = ...acq(...)...`
-        std::string var;
-        size_t eq = e;
-        {
-            int depth = 0;
-            for (size_t k = b; k < e; ++k) {
-                const std::string& t = toks[k].text;
-                if (t == "(" || t == "[" || t == "{" || t == "<")
-                    ++depth;
-                else if (t == ")" || t == "]" || t == "}" || t == ">")
-                    --depth;
-                else if (t == "=" && depth == 0) {
-                    eq = k;
-                    break;
-                }
-            }
-            if (eq > b + 1 && eq < e && isIdent(eq - 1)) {
-                bool typish = true;
-                for (size_t k = b; k < eq; ++k) {
-                    const std::string& t = toks[k].text;
-                    if (toks[k].kind == Tok::Ident || t == "::" ||
-                        t == "<" || t == ">" || t == "&" || t == "*" ||
-                        t == ",")
-                        continue;
-                    typish = false;
-                    break;
-                }
-                if (typish)
-                    var = toks[eq - 1].text;
-            }
-        }
-
-        for (const CallSite& c : collectCalls(b, e)) {
-            applyCallEffect(c.callee, st);
-            if (!var.empty()) {
-                auto it = g.acquiresRef.find(c.callee);
-                if (it != g.acquiresRef.end())
-                    st.pending[var] = it->second;
-            }
-        }
     }
 };
 
@@ -926,18 +489,11 @@ findPublications(const std::vector<Token>& toks, size_t b, size_t e)
     return pubs;
 }
 
-void
-emitFinding(std::vector<Finding>& out, const FileModel& m, int line,
-            const std::string& rule, const std::string& msg)
-{
-    out.push_back({m.path, line, rule, msg, false});
-}
-
 // ---- per-function checks ------------------------------------------------
 
 void
 checkRefBalance(const FileModel& m, const Func& f, const GlobalModel& g,
-                const TypestateSummaries* sums,
+                const Summaries* sums,
                 std::vector<Finding>& findings)
 {
     const bool isBal = g.balanced.count(f.name) > 0;
@@ -989,77 +545,57 @@ checkRefBalance(const FileModel& m, const Func& f, const GlobalModel& g,
             auto via = e.st.via.find(cls);
             if (via != e.st.via.end())
                 msg += " (effect inferred via " + via->second + ")";
-            emitFinding(findings, m, e.line, "ref-balance", msg);
+            emit(findings, m, e.line, "ref-balance", msg);
         }
     }
 }
 
 void
 checkStateEdges(const FileModel& m, const Func& f, const GlobalModel& g,
-                const TypestateSummaries* sums,
+                const Summaries* sums,
                 std::vector<Finding>& findings)
 {
     if (!f.hasBody)
         return;
+    static const std::set<std::string> kNone;
     auto di = g.transitions.find(f.name);
-    const std::set<std::string>* declared =
-        di == g.transitions.end() ? nullptr : &di->second;
+    const std::set<std::string>& declared =
+        di == g.transitions.end() ? kNone : di->second;
 
     std::vector<Pub> pubs =
         findPublications(m.lx.tokens, f.bodyBegin, f.bodyEnd);
     for (const Pub& p : pubs) {
         bool covered = false;
-        if (declared)
-            for (const std::string& e : *declared)
-                if (e.size() > p.state.size() &&
-                    e.compare(e.size() - p.state.size(),
-                              p.state.size(), p.state) == 0 &&
-                    e[e.size() - p.state.size() - 1] == '>') {
-                    covered = true;
-                    break;
-                }
+        for (const std::string& e : declared)
+            covered = covered || e.ends_with("->" + p.state);
         if (!covered)
-            emitFinding(findings, m, p.line, "state-edge",
-                        f.name + " publishes PteState::" + p.state +
-                            " without a covering AP_TRANSITIONS edge "
-                            "'*->" +
-                            p.state + "'");
+            emit(findings, m, p.line, "state-edge",
+                 f.name + " publishes PteState::" + p.state +
+                     " without a covering AP_TRANSITIONS edge "
+                     "'*->" +
+                     p.state + "'");
     }
 
-    if (!declared)
-        return;
-    for (const std::string& e : *declared) {
+    for (const std::string& e : declared) {
         size_t arrow = e.find("->");
         if (arrow == std::string::npos)
             continue; // malformed; transition-decl reports it
         std::string to = e.substr(arrow + 2);
         bool witnessed = false;
         for (const Pub& p : pubs)
-            if (p.state == to) {
-                witnessed = true;
-                break;
-            }
+            witnessed = witnessed || p.state == to;
+        // the closure includes the declarations themselves
+        const auto& closure = sums ? sums->transitions : g.transitions;
+        for (const Call& c : f.calls) {
+            auto cd = closure.find(c.callee);
+            witnessed = witnessed ||
+                        (cd != closure.end() && cd->second.count(e));
+        }
         if (!witnessed)
-            for (const Call& c : f.calls) {
-                auto cd = g.transitions.find(c.callee);
-                if (cd != g.transitions.end() && cd->second.count(e)) {
-                    witnessed = true;
-                    break;
-                }
-                if (sums) {
-                    auto cs = sums->transitions.find(c.callee);
-                    if (cs != sums->transitions.end() &&
-                        cs->second.count(e)) {
-                        witnessed = true;
-                        break;
-                    }
-                }
-            }
-        if (!witnessed)
-            emitFinding(findings, m, f.line, "state-edge",
-                        f.name + " declares transition '" + e +
-                            "' but neither the body nor any callee "
-                            "publishes it");
+            emit(findings, m, f.line, "state-edge",
+                 f.name + " declares transition '" + e +
+                     "' but neither the body nor any callee "
+                     "publishes it");
     }
 }
 
@@ -1072,33 +608,32 @@ checkTransitionDecls(const FileModel& m, const GlobalModel& g,
             if (a.name != "AP_TRANSITIONS")
                 continue;
             if (a.args.empty()) {
-                emitFinding(findings, m, a.line, "transition-decl",
-                            "AP_TRANSITIONS on " + f.name +
-                                " lists no edges");
+                emit(findings, m, a.line, "transition-decl",
+                     "AP_TRANSITIONS on " + f.name +
+                         " lists no edges");
                 continue;
             }
             for (const std::string& raw : a.args) {
                 std::string e = normEdge(raw);
                 if (!wellFormedEdge(e)) {
-                    emitFinding(findings, m, a.line, "transition-decl",
-                                "malformed transition '" + raw +
-                                    "' on " + f.name +
-                                    " (want 'From->To')");
+                    emit(findings, m, a.line, "transition-decl",
+                         "malformed transition '" + raw +
+                             "' on " + f.name +
+                             " (want 'From->To')");
                     continue;
                 }
                 if (g.pteEdges.empty()) {
-                    emitFinding(
-                        findings, m, a.line, "transition-decl",
-                        "AP_TRANSITIONS on " + f.name +
-                            " but no pte-edges directive registers "
-                            "the state machine");
+                    emit(findings, m, a.line, "transition-decl",
+                         "AP_TRANSITIONS on " + f.name +
+                             " but no pte-edges directive registers "
+                             "the state machine");
                     continue;
                 }
                 if (!g.pteEdgeSet.count(e))
-                    emitFinding(findings, m, a.line, "transition-decl",
-                                "transition '" + e + "' on " + f.name +
-                                    " is not an edge of the "
-                                    "registered PteState machine");
+                    emit(findings, m, a.line, "transition-decl",
+                         "transition '" + e + "' on " + f.name +
+                             " is not an edge of the "
+                             "registered PteState machine");
             }
         }
     }
@@ -1137,16 +672,16 @@ checkTransitionDecls(const FileModel& m, const GlobalModel& g,
             }
         }
         if (m.pteEdges.empty()) {
-            emitFinding(findings, m, toks[i].line, "transition-decl",
-                        "kPteStateMachine has no adjacent pte-edges "
-                        "directive for aplint to verify against");
+            emit(findings, m, toks[i].line, "transition-decl",
+                 "kPteStateMachine has no adjacent pte-edges "
+                 "directive for aplint to verify against");
         } else if (table != m.pteEdges) {
-            emitFinding(findings, m, toks[i].line, "transition-decl",
-                        "kPteStateMachine initializer drifted from "
-                        "the pte-edges directive (" +
-                            std::to_string(table.size()) + " vs " +
-                            std::to_string(m.pteEdges.size()) +
-                            " edges, or order/content differs)");
+            emit(findings, m, toks[i].line, "transition-decl",
+                 "kPteStateMachine initializer drifted from "
+                 "the pte-edges directive (" +
+                     std::to_string(table.size()) + " vs " +
+                     std::to_string(m.pteEdges.size()) +
+                     " edges, or order/content differs)");
         }
         break;
     }
@@ -1181,48 +716,11 @@ ivText(Interval v)
     return "[" + one(v.lo) + "," + one(v.hi) + "]";
 }
 
-TypestateSummaries
+void
 computeRefSummaries(const std::vector<FileModel>& files,
-                    const GlobalModel& g, const CallGraph& cg)
+                    const GlobalModel& g, const CallGraph& cg,
+                    Summaries& out)
 {
-    TypestateSummaries out;
-
-    // transitive closure of declared transitions over the call graph
-    for (const auto& [name, edges] : g.transitions)
-        out.transitions[name] = edges;
-    {
-        std::deque<std::string> wl;
-        for (const auto& [name, node] : cg.nodes)
-            wl.push_back(name);
-        size_t guard = 0;
-        const size_t kGuard = 200000;
-        while (!wl.empty() && guard++ < kGuard) {
-            std::string n = wl.front();
-            wl.pop_front();
-            auto node = cg.nodes.find(n);
-            if (node == cg.nodes.end())
-                continue;
-            std::set<std::string> merged;
-            auto self = out.transitions.find(n);
-            if (self != out.transitions.end())
-                merged = self->second;
-            size_t before = merged.size();
-            for (const std::string& c : node->second.callees) {
-                auto it = out.transitions.find(c);
-                if (it != out.transitions.end())
-                    merged.insert(it->second.begin(),
-                                  it->second.end());
-            }
-            if (merged.size() != before) {
-                out.transitions[n] = std::move(merged);
-                auto cal = cg.callers.find(n);
-                if (cal != cg.callers.end())
-                    for (const std::string& c : cal->second)
-                        wl.push_back(c);
-            }
-        }
-    }
-
     // ref-effect fixpoint over unannotated bodies; annotated
     // functions are declared boundaries and never inferred
     auto annotated = [&](const std::string& n) {
@@ -1250,34 +748,18 @@ computeRefSummaries(const std::vector<FileModel>& files,
         wl.pop_front();
         queued.erase(n);
 
-        std::map<std::string, Interval> eff;
-        std::string via;
+        // the hull of every exit of every body named n
+        AbsState all;
         bool any = false;
         for (const auto& [mp, fp] : bodies[n]) {
             RefWalker w(*mp, *fp, g, &out);
             w.run();
             for (const RefWalker::Exit& e : w.exits) {
-                std::set<std::string> classes;
-                for (const auto& [cls, iv] : e.st.net)
-                    classes.insert(cls);
-                for (const auto& [cls, iv] : eff)
-                    classes.insert(cls);
-                std::map<std::string, Interval> next;
-                for (const std::string& cls : classes) {
-                    Interval v = getNet(e.st, cls);
-                    next[cls] = any ? joinIv(eff.count(cls)
-                                                 ? eff[cls]
-                                                 : Interval{},
-                                             v)
-                                    : v;
-                }
-                eff = std::move(next);
+                all = any ? w.join(all, e.st) : e.st;
                 any = true;
-                for (const auto& [cls, w2] : e.st.via)
-                    if (via.empty())
-                        via = w2;
             }
         }
+        std::map<std::string, Interval>& eff = all.net;
         // clamp runaway bounds so cyclic graphs terminate
         for (auto& [cls, iv] : eff) {
             if (iv.lo < -4)
@@ -1288,27 +770,25 @@ computeRefSummaries(const std::vector<FileModel>& files,
         for (auto it = eff.begin(); it != eff.end();)
             it = it->second.zero() ? eff.erase(it) : std::next(it);
 
-        auto cur = out.effects.find(n);
-        bool changed = cur == out.effects.end() ? !eff.empty()
-                                                : cur->second != eff;
+        auto cur = out.refEffects.find(n);
+        bool changed = cur == out.refEffects.end() ? !eff.empty()
+                                                   : cur->second != eff;
         if (!changed)
             continue;
-        out.effects[n] = eff;
-        if (!via.empty())
-            out.witness[n] = via;
+        out.refEffects[n] = eff;
+        if (!all.via.empty())
+            out.refWitness[n] = all.via.begin()->second;
         auto cal = cg.callers.find(n);
         if (cal != cg.callers.end())
             for (const std::string& c : cal->second)
                 if (bodies.count(c) && queued.insert(c).second)
                     wl.push_back(c);
     }
-    return out;
 }
 
 void
 runTypestate(const FileModel& m, const GlobalModel& g,
-             const TypestateSummaries* sums,
-             std::vector<Finding>& findings)
+             const Summaries* sums, std::vector<Finding>& findings)
 {
     for (const Func& f : m.funcs) {
         checkRefBalance(m, f, g, sums, findings);

@@ -30,10 +30,10 @@
  *                   directive and the kPteStateMachine initializer.
  *
  * The abstract domain is one interval [lo, hi] of net acquisitions
- * per resource class. Branch join is the interval hull; loops are
- * widened by a second pass (a bound still moving after the first
- * body pass goes to +/-infinity); return statements snapshot the
- * path state for checking and kill the path. Call effects come from
+ * per resource class, walked by the shared driver (absint.hh). Branch
+ * join is the interval hull; a bound still moving after a loop's
+ * first pass is widened to +/-infinity; every return path's state is
+ * checked on its own. Call effects come from
  * the declarations (AP_ACQUIRES_REF +1, AP_RELEASES_REF -1,
  * AP_BALANCED 0) or, through the call-graph fixpoint, from inferred
  * summaries of unannotated helpers — so a helper that leaks a
@@ -46,26 +46,10 @@
 #include "callgraph.hh"
 #include "rules.hh"
 
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
 namespace ap::lint {
-
-/** Net-refcount interval; bounds at +/-kInf mean "unbounded". */
-struct Interval
-{
-    static constexpr int kInf = 1 << 20;
-    int lo = 0;
-    int hi = 0;
-    bool operator==(const Interval& o) const
-    {
-        return lo == o.lo && hi == o.hi;
-    }
-    bool operator!=(const Interval& o) const { return !(*this == o); }
-    bool zero() const { return lo == 0 && hi == 0; }
-};
 
 /** Interval hull (branch join). */
 Interval joinIv(Interval a, Interval b);
@@ -78,24 +62,15 @@ std::string ivText(Interval v);
 
 /**
  * Interprocedural ref-effect summaries, computed bottom-up over the
- * PR 6 call graph. Annotated functions are fixed boundaries (their
- * declaration is their effect); unannotated bodies are interpreted
- * and their joined return-path effect propagated to callers.
+ * call graph into @p sums (refEffects, refWitness). Annotated
+ * functions are fixed boundaries (their declaration is their effect);
+ * unannotated bodies are interpreted and their joined return-path
+ * effect propagated to callers. The AP_TRANSITIONS closure is
+ * propagate()'s.
  */
-struct TypestateSummaries
-{
-    /** name -> class -> net effect over all return paths. */
-    std::map<std::string, std::map<std::string, Interval>> effects;
-    /** name -> callee chain explaining a nonzero inferred effect. */
-    std::map<std::string, std::string> witness;
-    /** Declared AP_TRANSITIONS closed transitively over callees. */
-    std::map<std::string, std::set<std::string>> transitions;
-};
-
-/** Worklist fixpoint over every parsed body. */
-TypestateSummaries
-computeRefSummaries(const std::vector<FileModel>& files,
-                    const GlobalModel& g, const CallGraph& cg);
+void computeRefSummaries(const std::vector<FileModel>& files,
+                         const GlobalModel& g, const CallGraph& cg,
+                         Summaries& sums);
 
 /**
  * Run the typestate rules over one file. `sums` may be null (unit
@@ -103,8 +78,7 @@ computeRefSummaries(const std::vector<FileModel>& files,
  * effects and edge witnessing.
  */
 void runTypestate(const FileModel& m, const GlobalModel& g,
-                  const TypestateSummaries* sums,
-                  std::vector<Finding>& findings);
+                  const Summaries* sums, std::vector<Finding>& findings);
 
 } // namespace ap::lint
 
