@@ -16,10 +16,6 @@ cmake -B "${BUILD}" -S . -DAP_SANITIZE="address;undefined" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "${BUILD}" -j "${JOBS}"
 
-# The simulator's warp fibers are ucontext-based; ASan's fake-stack
-# bookkeeping does not follow swapcontext, so disable the one feature
-# that depends on it and keep everything else.
-export ASAN_OPTIONS="detect_stack_use_after_return=0:${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1:${UBSAN_OPTIONS:-}"
 
 echo "==> tier-1 under ASan+UBSan"

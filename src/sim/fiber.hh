@@ -1,18 +1,22 @@
 /**
  * @file
- * Cooperative user-level fibers (ucontext-based).
+ * Cooperative user-level fibers.
  *
  * Each simulated warp runs as one fiber so that device code — including
  * the ActivePointers translation layer and the GPUfs page-fault handler —
  * is ordinary C++ that blocks inside simulator calls (memory accesses,
  * locks, DMA waits) and is resumed by the event engine at the right
  * simulated time.
+ *
+ * A switch is a short x86-64 SysV routine (fiber.cc): it pushes the
+ * callee-saved registers plus MXCSR and the x87 control word onto the
+ * outgoing stack, swaps the stack pointer, and pops the same set from
+ * the incoming stack. It makes no syscall, so the resume/yield pair that
+ * ends every simulated instruction stays cheap.
  */
 
 #ifndef AP_SIM_FIBER_HH
 #define AP_SIM_FIBER_HH
-
-#include <ucontext.h>
 
 #include <cstdint>
 #include <functional>
@@ -53,18 +57,7 @@ class Fiber
     /** True once the fiber body has returned. */
     bool finished() const { return done; }
 
-    /**
-     * The fiber currently executing, or nullptr in the scheduler.
-     *
-     * no_sanitize: under -fsanitize=address,undefined at -O2, GCC's
-     * combined null+alignment check mis-flags this thread-local load
-     * as a null-pointer load in code that resumes after a swapcontext
-     * (sanitizer support for makecontext/swapcontext is incomplete);
-     * the load itself is always well-formed.
-     */
-#if defined(__GNUC__) || defined(__clang__)
-    __attribute__((no_sanitize("null", "alignment")))
-#endif
+    /** The fiber currently executing, or nullptr in the scheduler. */
     static Fiber*
     current()
     {
@@ -72,16 +65,18 @@ class Fiber
     }
 
   private:
-    static void trampoline(unsigned hi, unsigned lo);
+    static void trampoline(Fiber* f);
 
-    ucontext_t self{};
-    ucontext_t ret{};
+    void* selfSp = nullptr; ///< stack pointer of the suspended fiber
+    void* retSp = nullptr;  ///< stack pointer of the suspended resumer
     std::unique_ptr<uint8_t[]> stack;
+    size_t stackBytes;
     Fn fn;
     bool done = false;
-    bool started = false;
 
-    static thread_local Fiber* current_;
+    // constinit: includers read the thread-local directly, with no TLS
+    // wrapper call and no dynamic-initialization check per access.
+    static constinit thread_local Fiber* current_;
 };
 
 } // namespace ap::sim

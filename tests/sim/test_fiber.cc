@@ -1,3 +1,8 @@
+#include <cfenv>
+#include <cstdint>
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -81,6 +86,111 @@ TEST(Fiber, LocalStateSurvivesYield)
     while (!f.finished())
         f.resume();
     EXPECT_EQ(result, 55);
+}
+
+TEST(Fiber, FloatingPointControlStateIsPerFiber)
+{
+    // The rounding mode lives in the x87 control word and in MXCSR,
+    // which the SysV ABI makes callee-saved; each fiber keeps its own.
+    ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+    volatile double one = 1.0;
+    volatile double three = 3.0;
+    const double nearest = one / three;
+    int modeAfterYield = -1;
+    double thirdAfterYield = 0;
+    Fiber f([&] {
+        std::fesetround(FE_UPWARD);
+        Fiber::current()->yield();
+        modeAfterYield = std::fegetround();
+        thirdAfterYield = one / three;
+    });
+    f.resume();
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+    EXPECT_EQ(one / three, nearest);
+    f.resume();
+    EXPECT_EQ(modeAfterYield, FE_UPWARD);
+    EXPECT_GT(thirdAfterYield, nearest);
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+}
+
+TEST(Fiber, StackIsAlignedOnEntryAndAfterYields)
+{
+    std::vector<uintptr_t> addrs;
+    std::string text;
+    Fiber f([&] {
+        for (int i = 0; i < 4; ++i) {
+            alignas(64) char buf[64] = {};
+            // The volatile round trip keeps the compiler from folding
+            // the check below from the declared alignment.
+            volatile uintptr_t addr = reinterpret_cast<uintptr_t>(buf);
+            addrs.push_back(uintptr_t{addr});
+            Fiber::current()->yield();
+        }
+        // std::to_string(double) formats through a variadic call, whose
+        // prologue spills the vector registers with aligned stores.
+        text = std::to_string(2.5);
+    });
+    while (!f.finished())
+        f.resume();
+    ASSERT_EQ(addrs.size(), 4u);
+    for (uintptr_t a : addrs)
+        EXPECT_EQ(a % 64, 0u);
+    EXPECT_EQ(text, "2.500000");
+}
+
+struct CountsDestruction
+{
+    int* count;
+    ~CountsDestruction() { ++*count; }
+};
+
+[[gnu::noinline]] void
+yieldThenThrow(int* destroyed)
+{
+    CountsDestruction guard{destroyed};
+    Fiber::current()->yield();
+    throw std::runtime_error("thrown after a yield");
+}
+
+TEST(Fiber, ExceptionAfterYieldUnwindsInsideTheFiber)
+{
+    int destroyed = 0;
+    std::string caught;
+    Fiber f([&] {
+        try {
+            yieldThenThrow(&destroyed);
+        } catch (const std::runtime_error& e) {
+            caught = e.what();
+        }
+    });
+    f.resume();
+    EXPECT_TRUE(caught.empty());
+    f.resume();
+    EXPECT_TRUE(f.finished());
+    EXPECT_EQ(caught, "thrown after a yield");
+    EXPECT_EQ(destroyed, 1);
+}
+
+TEST(Fiber, DestroyedWhileSuspendedRunsNoMoreOfItsBody)
+{
+    // An owner may drop a fiber that never finished: its stack is
+    // freed and its body never resumes.
+    int steps = 0;
+    auto f = std::make_unique<Fiber>([&] {
+        ++steps;
+        Fiber::current()->yield();
+        ++steps;
+    });
+    f->resume();
+    ASSERT_FALSE(f->finished());
+    f.reset();
+    EXPECT_EQ(steps, 1);
+    EXPECT_EQ(Fiber::current(), nullptr);
+
+    Fiber g([&] { steps = 10; });
+    g.resume();
+    EXPECT_TRUE(g.finished());
+    EXPECT_EQ(steps, 10);
 }
 
 } // namespace
