@@ -100,13 +100,11 @@ tlbTelemetry(BenchResult& doc)
     (void)accessTime(*st, kTelemetryPages);
     const StatGroup& s = st->dev->stats();
 
-    static constexpr const char* kReasons[] = {
-        "conflict", "invalidation", "shootdown", "teardown"};
     TextTable t;
     t.header({"reason", "evicted", "doa", "doa%"});
     uint64_t evicted = 0;
     uint64_t doa = 0;
-    for (const char* r : kReasons) {
+    for (const char* r : core::kTlbEvictReasonNames) {
         uint64_t ev = s.counter("tlb.evict." + std::string(r));
         uint64_t dead = s.counter("tlb.doa." + std::string(r));
         evicted += ev;

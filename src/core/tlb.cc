@@ -7,42 +7,16 @@
 
 namespace ap::core {
 
-namespace {
-
-/** Always-on eviction counters, one per TlbEvictReason value. */
-constexpr const char* kEvictCounter[kTlbEvictReasons] = {
-    "tlb.evict.conflict",
-    "tlb.evict.invalidation",
-    "tlb.evict.shootdown",
-    "tlb.evict.teardown",
-};
-
-/** Dead-on-arrival counters (entry retired with zero hits). */
-constexpr const char* kDoaCounter[kTlbEvictReasons] = {
-    "tlb.doa.conflict",
-    "tlb.doa.invalidation",
-    "tlb.doa.shootdown",
-    "tlb.doa.teardown",
-};
-
-} // namespace
-
-const char*
-tlbEvictReasonName(TlbEvictReason r)
-{
-    constexpr const char* names[kTlbEvictReasons] = {
-        "conflict", "invalidation", "shootdown", "teardown"};
-    return names[static_cast<size_t>(r)];
-}
-
 SoftTlb::SoftTlb(sim::ThreadBlock& tb, uint32_t n_entries, AptrKind kind,
                  sim::Cycles lock_latency, sim::Device& dev_)
-    : nEntries(n_entries), dev(dev_)
+    : nEntries(n_entries), dev(dev_),
+      life("tlb", kTlbEvictReasonNames, "tlb.inserts",
+           "tlb.entry_lifetime", n_entries)
 {
     AP_ASSERT(n_entries > 0, "TLB needs at least one entry");
     // Scratchpad accounting per paper section IV-D: 12 B (short) /
-    // 20 B (long) per entry plus a 4 B entry lock. The telemetry
-    // shadow fields are host-side bookkeeping and charge nothing.
+    // 20 B (long) per entry plus a 4 B entry lock. The lifetime
+    // ledger is host-side bookkeeping and charges nothing.
     size_t entry_bytes = (kind == AptrKind::Short ? 12 : 20) + 4;
     tb.scratchAlloc(n_entries * entry_bytes);
     entries.reserve(n_entries);
@@ -62,47 +36,26 @@ SoftTlb::~SoftTlb()
     // while the Device lives on: an entry still populated here
     // survived to kernel exit and retires as Teardown at the current
     // device clock.
-    for (Entry& e : entries) {
-        if (e.key != 0)
-            retireEntryTelemetry(dev.stats(), e, TlbEvictReason::Teardown,
-                                 dev.engine().now());
-    }
+    for (uint32_t i = 0; i < nEntries; ++i)
+        if (entries[i].key != 0)
+            retire(dev.stats(), i, TlbEvictReason::Teardown,
+                   dev.engine().now());
     // Cross-check: every hit this TLB put into core.tlb_hits must be
     // accounted on exactly one (now retired) entry — a mismatch means
-    // some eviction path skipped its telemetry retirement.
+    // some eviction path skipped its retirement.
     if (sim::check::SimCheck::armed)
-        sim::check::SimCheck::get().tlbHitSumAudit(retiredHits, localHits,
-                                                   name);
+        sim::check::SimCheck::get().tlbHitSumAudit(life.retiredHits(),
+                                                   localHits, name);
 }
 
 void
-SoftTlb::retireEntryTelemetry(StatGroup& st, Entry& e,
-                              TlbEvictReason reason, sim::Cycles now)
+SoftTlb::retire(StatGroup& st, uint32_t slot, TlbEvictReason reason,
+                sim::Cycles now)
 {
-    size_t r = static_cast<size_t>(reason);
-    st.inc(kEvictCounter[r]);
-    if (e.hitCount == 0)
-        st.inc(kDoaCounter[r]);
-    st.recordValue("tlb.entry_lifetime", now - e.insertCycle);
-    if (e.hitCount > 0)
-        st.inc("tlb.entry_hits_retired", e.hitCount);
-    retiredHits += e.hitCount;
-    e.hitCount = 0;
-    e.hitBefore = false;
-    AP_ASSERT(liveEntries > 0, "TLB retired more entries than installed");
-    liveEntries--;
-    maybeEmitOccupancy(now);
-}
-
-void
-SoftTlb::installEntryTelemetry(StatGroup& st, Entry& e, sim::Cycles now)
-{
-    e.insertCycle = now;
-    e.lastHitCycle = now;
-    e.hitBefore = false;
-    e.hitCount = 0;
-    liveEntries++;
-    st.inc("tlb.inserts");
+    const auto rec = life.retire(st, slot, reason, now);
+    AP_ASSERT(rec.live, "TLB retired an entry the ledger never opened");
+    if (rec.hits > 0)
+        st.inc("tlb.entry_hits_retired", rec.hits);
     maybeEmitOccupancy(now);
 }
 
@@ -110,24 +63,9 @@ void
 SoftTlb::maybeEmitOccupancy(sim::Cycles now)
 {
     sim::Tracer& tr = dev.tracer();
-    if (!tr.enabled())
-        return;
-    if (everEmitted && now - lastEmit < sim::kCounterIntervalCycles)
-        return;
-    everEmitted = true;
-    lastEmit = now;
-    tr.counterEvent(sim::kTelemetryTrack, "telemetry", occSeries, now,
-                    static_cast<double>(liveEntries));
-}
-
-uint64_t
-SoftTlb::liveEntryHitsHost() const
-{
-    uint64_t sum = 0;
-    for (const Entry& e : entries)
-        if (e.key != 0)
-            sum += e.hitCount;
-    return sum;
+    if (life.sampleDue(tr, now))
+        tr.counterEvent(sim::kTelemetryTrack, "telemetry", occSeries, now,
+                        static_cast<double>(life.live()));
 }
 
 uint32_t
@@ -141,7 +79,8 @@ SoftTlb::lookupAndRef(sim::Warp& w, gpufs::PageKey key, int n,
                       sim::Addr& frame_addr)
 {
     const sim::Cycles t0 = w.now();
-    Entry& e = entries[slotOf(key)];
+    const uint32_t slot = slotOf(key);
+    Entry& e = entries[slot];
     // Hash + scratchpad probe.
     w.issue(3);
     w.chargeSharedRead();
@@ -165,12 +104,9 @@ SoftTlb::lookupAndRef(sim::Warp& w, gpufs::PageKey key, int n,
     // under the entry lock, so it is monotone against the install
     // and previous-hit stamps taken under the same lock.
     const sim::Cycles th = w.now();
-    w.stats().recordValue("tlb.reuse_distance",
-                          th - (e.hitBefore ? e.lastHitCycle
-                                            : e.insertCycle));
-    e.hitBefore = true;
-    e.lastHitCycle = th;
-    e.hitCount++;
+    const auto before = life.hit(slot, th);
+    AP_ASSERT(before.live, "TLB hit an entry the ledger never opened");
+    w.stats().recordValue("tlb.reuse_distance", th - before.lastHitCycle);
     localHits++;
     w.chargeSharedWrite();
     e.entryLock.release(w);
@@ -188,7 +124,8 @@ SoftTlb::insertAfterAcquire(sim::Warp& w, gpufs::PageKey key,
                             sim::Addr frame_addr, int n,
                             gpufs::PageCache& cache)
 {
-    Entry& e = entries[slotOf(key)];
+    const uint32_t slot = slotOf(key);
+    Entry& e = entries[slot];
     e.entryLock.acquire(w);
     w.chargeSharedRead();
     if (e.key == key + 1) {
@@ -210,8 +147,7 @@ SoftTlb::insertAfterAcquire(sim::Warp& w, gpufs::PageKey key,
         // Count-zero victim: return its page-table references and
         // discard the stale mapping.
         AP_ASSERT(e.ptRefs > 0, "counted-out TLB entry without refs");
-        retireEntryTelemetry(w.stats(), e, TlbEvictReason::Conflict,
-                             w.now());
+        retire(w.stats(), slot, TlbEvictReason::Conflict, w.now());
         gpufs::PageKey old_key = e.key - 1;
         int old_refs = e.ptRefs;
         e.key = 0;
@@ -223,7 +159,8 @@ SoftTlb::insertAfterAcquire(sim::Warp& w, gpufs::PageKey key,
     e.frameAddr = frame_addr;
     e.count = n;
     e.ptRefs = n;
-    installEntryTelemetry(w.stats(), e, w.now());
+    life.open(w.stats(), slot, w.now());
+    maybeEmitOccupancy(w.now());
     w.chargeSharedWrite();
     e.entryLock.release(w);
     return true;
@@ -233,7 +170,8 @@ bool
 SoftTlb::unref(sim::Warp& w, gpufs::PageKey key, int n,
                gpufs::PageCache& cache)
 {
-    Entry& e = entries[slotOf(key)];
+    const uint32_t slot = slotOf(key);
+    Entry& e = entries[slot];
     w.issue(3);
     e.entryLock.acquire(w);
     if (e.key != key + 1) {
@@ -246,8 +184,7 @@ SoftTlb::unref(sim::Warp& w, gpufs::PageKey key, int n,
     if (e.count == 0) {
         // Discard the mapping and return the aggregated references
         // (the proactive-decrement heuristic of section III-B).
-        retireEntryTelemetry(w.stats(), e, TlbEvictReason::Invalidation,
-                             w.now());
+        retire(w.stats(), slot, TlbEvictReason::Invalidation, w.now());
         int refs = e.ptRefs;
         gpufs::PageKey k = e.key - 1;
         e.key = 0;
@@ -265,7 +202,8 @@ SoftTlb::flushAsid(sim::Warp& w, tenant::TenantId asid,
                    gpufs::PageCache& cache)
 {
     uint32_t flushed = 0;
-    for (Entry& e : entries) {
+    for (uint32_t slot = 0; slot < nEntries; ++slot) {
+        Entry& e = entries[slot];
         // Cheap unlocked screen; the lock re-check below has teeth.
         if (e.key == 0 || gpufs::pageKeyAsid(e.key - 1) != asid)
             continue;
@@ -279,8 +217,7 @@ SoftTlb::flushAsid(sim::Warp& w, tenant::TenantId asid,
         int refs = e.ptRefs;
         if (e.count != 0)
             w.stats().inc("core.tlb_flush_forced", e.count);
-        retireEntryTelemetry(w.stats(), e, TlbEvictReason::Shootdown,
-                             w.now());
+        retire(w.stats(), slot, TlbEvictReason::Shootdown, w.now());
         e.key = 0;
         e.count = 0;
         e.ptRefs = 0;

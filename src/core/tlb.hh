@@ -18,10 +18,12 @@
 #ifndef AP_CORE_TLB_HH
 #define AP_CORE_TLB_HH
 
+#include <array>
 #include <vector>
 
 #include "core/access_mode.hh"
 #include "gpufs/page_cache.hh"
+#include "sim/lifetime_ledger.hh"
 #include "sim/sync.hh"
 #include "util/annotations.hh"
 
@@ -48,8 +50,9 @@ enum class TlbEvictReason : uint8_t
 /** Number of TlbEvictReason values (table sizing). */
 constexpr size_t kTlbEvictReasons = 4;
 
-/** Printable name of @p r ("conflict", "invalidation", ...). */
-const char* tlbEvictReasonName(TlbEvictReason r);
+/** Printable names, indexed by TlbEvictReason. */
+constexpr std::array<const char*, kTlbEvictReasons> kTlbEvictReasonNames{
+    "conflict", "invalidation", "shootdown", "teardown"};
 
 /** The software TLB of one threadblock. */
 class SoftTlb
@@ -138,18 +141,6 @@ class SoftTlb
      */
     uint32_t countAsidEntriesHost(tenant::TenantId asid) const;
 
-    /** Host-side: currently populated entries (telemetry occupancy). */
-    uint32_t occupancyHost() const { return liveEntries; }
-
-    /** Host-side: hits recorded on entries already retired. */
-    uint64_t retiredEntryHitsHost() const { return retiredHits; }
-
-    /** Host-side: hits this TLB contributed to core.tlb_hits. */
-    uint64_t recordedHitsHost() const { return localHits; }
-
-    /** Host-side: hits sitting on still-live entries. */
-    uint64_t liveEntryHitsHost() const;
-
   private:
     struct Entry
     {
@@ -163,30 +154,20 @@ class SoftTlb
         int count = 0;   ///< block-private references
         int ptRefs = 0;  ///< page-table references held on behalf
         sim::DeviceLock entryLock AP_LOCK_LEVEL("tlb.entry");
-
-        // Telemetry shadow (host bookkeeping, not scratchpad bytes:
-        // the paper's 12/20+4 B accounting above is unchanged).
-        sim::Cycles insertCycle = 0; ///< when the mapping was installed
-        sim::Cycles lastHitCycle = 0; ///< most recent lookupAndRef hit
-        bool hitBefore = false;       ///< entry has at least one hit
-        uint64_t hitCount = 0;        ///< lookupAndRef hits absorbed
     };
 
     uint32_t slotOf(gpufs::PageKey key) const;
 
     /**
-     * Telemetry retirement of @p e, charged to @p reason at @p now:
-     * bumps tlb.evict.<reason> (and tlb.doa.<reason> when the entry
-     * never hit), records the entry lifetime histogram, and folds the
-     * entry's hit count into the retired sum the destructor audits.
-     * Call with the entry lock held (or from the single-threaded
-     * destructor), before the caller clears e.key.
+     * Retire slot @p slot's lifetime for @p reason at @p now: the
+     * ledger's counters, the retired entry's hits into
+     * tlb.entry_hits_retired, and an occupancy sample. Call with the
+     * entry lock held (or from the single-threaded destructor),
+     * before the caller clears the key. Panics if the slot's install
+     * never opened a ledger record.
      */
-    void retireEntryTelemetry(StatGroup& st, Entry& e,
-                              TlbEvictReason reason, sim::Cycles now);
-
-    /** Telemetry reset of @p e for a fresh install at @p now. */
-    void installEntryTelemetry(StatGroup& st, Entry& e, sim::Cycles now);
+    void retire(StatGroup& st, uint32_t slot, TlbEvictReason reason,
+                sim::Cycles now);
 
     /**
      * Throttled Chrome-trace occupancy sample (tlb.occupancy.blk<id>
@@ -200,11 +181,10 @@ class SoftTlb
     sim::Device& dev;           ///< teardown stats/clock/trace source
     std::string name;           ///< "tlb[blk<id>]" for diagnostics
     std::string occSeries;      ///< trace counter-series name
-    uint32_t liveEntries = 0;   ///< populated entries right now
+    /** Per-entry lifetimes: host bookkeeping, not scratchpad bytes
+     * (the paper's 12/20+4 B per-entry accounting is unchanged). */
+    sim::LifetimeLedger<TlbEvictReason, kTlbEvictReasons> life;
     uint64_t localHits = 0;     ///< hits this TLB added to core.tlb_hits
-    uint64_t retiredHits = 0;   ///< hit counts folded in at retirement
-    sim::Cycles lastEmit = 0;   ///< previous occupancy-sample cycle
-    bool everEmitted = false;   ///< first sample bypasses the throttle
 };
 
 } // namespace ap::core

@@ -16,28 +16,6 @@ constexpr int kPrefetchTrack = -3;
 
 using sim::check::SimCheck;
 
-/** Always-on eviction counters, one per PageEvictReason value. */
-constexpr const char* kPcEvictCounter[kPageEvictReasons] = {
-    "pagecache.evict.clock_sweep",
-    "pagecache.evict.reserve_refill",
-    "pagecache.evict.bucket_overflow",
-    "pagecache.evict.poisoned_reclaim",
-    "pagecache.evict.spec_victim",
-    "pagecache.evict.cross_tenant",
-    "pagecache.evict.teardown",
-};
-
-/** Dead-on-arrival counters (frame retired with zero demand hits). */
-constexpr const char* kPcDoaCounter[kPageEvictReasons] = {
-    "pagecache.doa.clock_sweep",
-    "pagecache.doa.reserve_refill",
-    "pagecache.doa.bucket_overflow",
-    "pagecache.doa.poisoned_reclaim",
-    "pagecache.doa.spec_victim",
-    "pagecache.doa.cross_tenant",
-    "pagecache.doa.teardown",
-};
-
 /** Sync channel of a PTE word (refcount/state) in @p dev's memory. */
 uint64_t
 wordChan(sim::Device* dev, sim::Addr a)
@@ -47,19 +25,11 @@ wordChan(sim::Device* dev, sim::Addr a)
 
 } // namespace
 
-const char*
-pageEvictReasonName(PageEvictReason r)
-{
-    constexpr const char* names[kPageEvictReasons] = {
-        "clock_sweep",      "reserve_refill", "bucket_overflow",
-        "poisoned_reclaim", "spec_victim",    "cross_tenant",
-        "teardown"};
-    return names[static_cast<size_t>(r)];
-}
-
 PageCache::PageCache(sim::Device& dev_, hostio::HostIoEngine& io_,
                      const Config& cfg_)
-    : dev(&dev_), io(&io_), cfg(cfg_), pt(dev_, cfg_)
+    : dev(&dev_), io(&io_), cfg(cfg_), pt(dev_, cfg_),
+      life("pagecache", kPageEvictReasonNames, "pagecache.life.fills",
+           "pagecache.life.lifetime", cfg_.numFrames)
 {
     framesBase = dev->mem().alloc(
         static_cast<size_t>(cfg.numFrames) * cfg.pageSize, cfg.pageSize);
@@ -76,7 +46,6 @@ PageCache::PageCache(sim::Device& dev_, hostio::HostIoEngine& io_,
     for (uint32_t s = cfg.stagingSlots; s-- > 0;)
         freeStaging.push_back(s);
     allocLock.debugName = "pc.allocLock";
-    frameLife.resize(cfg.numFrames);
 }
 
 void
@@ -84,13 +53,8 @@ PageCache::noteFrameBound(PageKey key, uint32_t frame, sim::Cycles now)
 {
     if (registry_)
         registry_->noteFrameGained(pageKeyAsid(key));
-    FrameLife& fl = frameLife[frame];
-    fl.fillCycle = now;
-    fl.firstHitCycle = 0;
-    fl.demandHits = 0;
-    fl.live = true;
+    life.open(dev->stats(), frame, now);
     contigProf.noteResidentPage(dev->stats(), key);
-    dev->stats().inc("pagecache.life.fills");
     maybeEmitCacheCounters(now);
 }
 
@@ -100,18 +64,10 @@ PageCache::noteFrameUnbound(PageKey key, uint32_t frame,
 {
     if (registry_)
         registry_->noteFrameLost(pageKeyAsid(key));
-    FrameLife& fl = frameLife[frame];
-    if (fl.live) {
-        const size_t r = static_cast<size_t>(reason);
-        StatGroup& st = dev->stats();
-        st.inc(kPcEvictCounter[r]);
-        if (fl.demandHits == 0)
-            st.inc(kPcDoaCounter[r]);
-        st.recordValue("pagecache.life.lifetime", now - fl.fillCycle);
-        st.recordValue("pagecache.life.demand_hits",
-                       static_cast<double>(fl.demandHits));
-        fl.live = false;
-    }
+    const auto rec = life.retire(dev->stats(), frame, reason, now);
+    if (rec.live)
+        dev->stats().recordValue("pagecache.life.demand_hits",
+                                 static_cast<double>(rec.hits));
     contigProf.noteEvictedPage(dev->stats(), key);
     maybeEmitCacheCounters(now);
 }
@@ -119,27 +75,19 @@ PageCache::noteFrameUnbound(PageKey key, uint32_t frame,
 void
 PageCache::noteFrameDemandHit(uint32_t frame, sim::Cycles now)
 {
-    FrameLife& fl = frameLife[frame];
-    if (!fl.live)
-        return; // defensive: a frame recycled mid-flight
-    if (fl.demandHits++ == 0) {
-        fl.firstHitCycle = now;
+    // A frame recycled mid-flight is not live; the ledger ignores it.
+    const auto rec = life.hit(frame, now);
+    if (rec.live && rec.hits == 0)
         dev->stats().recordValue("pagecache.life.fill_to_first_hit",
-                                 now - fl.fillCycle);
-    }
+                                 now - rec.openCycle);
 }
 
 void
 PageCache::maybeEmitCacheCounters(sim::Cycles now)
 {
     sim::Tracer& tr = dev->tracer();
-    if (!tr.enabled())
+    if (!life.sampleDue(tr, now))
         return;
-    if (everEmittedCounters &&
-        now - lastCounterEmit < sim::kCounterIntervalCycles)
-        return;
-    everEmittedCounters = true;
-    lastCounterEmit = now;
     tr.counterEvent(sim::kTelemetryTrack, "telemetry",
                     "pagecache.free_frames", now,
                     static_cast<double>(freeFrames.size()));

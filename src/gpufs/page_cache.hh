@@ -13,6 +13,7 @@
 #ifndef AP_GPUFS_PAGE_CACHE_HH
 #define AP_GPUFS_PAGE_CACHE_HH
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <set>
@@ -21,6 +22,7 @@
 #include "gpufs/contig_profiler.hh"
 #include "gpufs/page_table.hh"
 #include "hostio/host_io_engine.hh"
+#include "sim/lifetime_ledger.hh"
 #include "tenant/tenant.hh"
 #include "util/annotations.hh"
 
@@ -47,8 +49,11 @@ enum class PageEvictReason : uint8_t
 /** Number of PageEvictReason values (table sizing). */
 constexpr size_t kPageEvictReasons = 7;
 
-/** Printable name of @p r ("clock_sweep", "poisoned_reclaim", ...). */
-const char* pageEvictReasonName(PageEvictReason r);
+/** Printable names, indexed by PageEvictReason. */
+constexpr std::array<const char*, kPageEvictReasons> kPageEvictReasonNames{
+    "clock_sweep",      "reserve_refill", "bucket_overflow",
+    "poisoned_reclaim", "spec_victim",    "cross_tenant",
+    "teardown"};
 
 /** Result of acquiring a page. */
 struct AcquireResult
@@ -285,9 +290,6 @@ class PageCache
         }
     }
 
-    /** The attached tenant registry (null when QoS is off). */
-    tenant::TenantRegistry* tenantRegistry() const { return registry_; }
-
     /**
      * Host-side teardown of tenant @p asid's page-cache footprint: the
      * analog of process exit for an address space. Fails with Busy if
@@ -310,9 +312,6 @@ class PageCache
      * histograms need no export step.
      */
     void exportTranslationStatsHost();
-
-    /** Host-side: the resident-contiguity profiler (tests, benches). */
-    const ContigProfiler& contigHost() const { return contigProf; }
 
   private:
     /** Obtain a free frame, evicting a refcount-zero page if needed. */
@@ -420,8 +419,8 @@ class PageCache
     /**
      * Frame-ownership accounting and telemetry: @p key's page left
      * @p frame for @p reason (un-charges the registry, retires the
-     * lifetime record into the pagecache.evict/doa counters and
-     * pagecache.life.* histograms, shrinks the contiguity runs).
+     * frame's ledger record plus pagecache.life.demand_hits, shrinks
+     * the contiguity runs).
      */
     void noteFrameUnbound(PageKey key, uint32_t frame,
                           PageEvictReason reason, sim::Cycles now);
@@ -479,22 +478,12 @@ class PageCache
      * re-fault must read the swap contents, not zero-fill again. */
     std::set<PageKey> swappedOut;
 
-    /** Per-frame lifetime telemetry (host bookkeeping, not device
-     * memory: FrameMeta stays 16 B). */
-    struct FrameLife
-    {
-        sim::Cycles fillCycle = 0;     ///< when the frame was bound
-        sim::Cycles firstHitCycle = 0; ///< first demand touch granted
-        uint64_t demandHits = 0;       ///< demand touches this residency
-        bool live = false;             ///< frame currently bound
-    };
-    std::vector<FrameLife> frameLife;
+    /** Per-frame lifetimes (host bookkeeping, not device memory:
+     * FrameMeta stays 16 B); a hit is a demand touch. */
+    sim::LifetimeLedger<PageEvictReason, kPageEvictReasons> life;
 
     /** Resident-contiguity profiler fed by bind/unbind. */
     ContigProfiler contigProf;
-
-    sim::Cycles lastCounterEmit = 0; ///< previous counter-sample cycle
-    bool everEmittedCounters = false;
 };
 
 } // namespace ap::gpufs

@@ -9,24 +9,6 @@ namespace ap::hostio {
 
 namespace {
 
-/** Annotate a DMA landing in device memory as a host-actor write. */
-void
-noteDmaWrite(sim::Device* dev, sim::Addr dst, size_t len)
-{
-    if (sim::check::SimCheck::armed)
-        sim::check::SimCheck::get().onWrite(dev->mem().checkMemId, dst,
-                                            len);
-}
-
-/** Annotate a DMA out of device memory as a host-actor read. */
-void
-noteDmaRead(sim::Device* dev, sim::Addr src, size_t len)
-{
-    if (sim::check::SimCheck::armed)
-        sim::check::SimCheck::get().onRead(dev->mem().checkMemId, src,
-                                           len);
-}
-
 /**
  * Resume a fiber directly from a host completion. Bypasses
  * Engine::scheduleFiber, so the host -> fiber synchronization edge must
@@ -77,75 +59,172 @@ IoStatus
 HostIoEngine::readToGpu(sim::Warp& w, FileId f, uint64_t off, size_t len,
                         sim::Addr gpu_dst)
 {
-    IoStatus v = store_->checkRange(f, off, len);
+    return startAndWait(w, Request{f, off, len, gpu_dst, nullptr, false,
+                                   false, 0, w.activeFault(),
+                                   w.tenant()});
+}
+
+IoStatus
+HostIoEngine::readToGpuAsync(sim::Warp& w, FileId f, uint64_t off,
+                             size_t len, sim::Addr gpu_dst,
+                             std::function<void(IoStatus)> on_done,
+                             bool low_priority)
+{
+    return start(w, Request{f, off, len, gpu_dst, std::move(on_done),
+                            false, low_priority, 0, w.activeFault(),
+                            w.tenant()});
+}
+
+IoStatus
+HostIoEngine::writeFromGpu(sim::Warp& w, FileId f, uint64_t off, size_t len,
+                           sim::Addr gpu_src)
+{
+    // Fault id 0: a writeback issued inside a major fault must not
+    // stamp that fault's transfer stages. Writes are never batched.
+    return startAndWait(w, Request{f, off, len, gpu_src, nullptr, true,
+                                   false, 0, 0, w.tenant()});
+}
+
+IoStatus
+HostIoEngine::start(sim::Warp& w, Request r)
+{
+    IoStatus v = store_->checkRange(r.file, r.off, r.len);
     if (v != IoStatus::Ok) {
         dev->stats().inc("hostio.failures");
         return v;
     }
-    sim::Engine& eng = dev->engine();
-    dev->stats().inc("hostio.read_requests");
-    dev->stats().inc("hostio.read_bytes", len);
+    StatGroup& st = dev->stats();
+    st.inc(r.write ? "hostio.write_requests" : "hostio.read_requests");
+    st.inc(r.write ? "hostio.write_bytes" : "hostio.read_bytes", r.len);
+    if (r.low)
+        st.inc("hostio.low_priority_requests");
     // Enqueue the request into the host RPC ring (a few stores over
     // PCIe-visible memory plus a doorbell).
     w.issue(8);
+    submit(std::move(r));
+    return IoStatus::Ok;
+}
 
-    // The retry loop: each attempt enqueues one transfer and blocks;
-    // the completion hands back the attempt's status. A transient
-    // failure backs off (capped exponential) and re-enqueues, so a
-    // poisoned attempt leaves its batch and retries on its own.
-    for (int attempt = 0;; ++attempt) {
-        IoStatus st = IoStatus::Ok;
-        submitRead(Request{f, off, len, gpu_dst, sim::Fiber::current(),
-                           &st, nullptr, attempt, false,
-                           w.activeFault(), w.tenant()});
-        eng.block();
-        if (st != IoStatus::Again) {
-            if (st != IoStatus::Ok)
-                dev->stats().inc("hostio.failures");
-            return st;
-        }
-        if (attempt + 1 >= retry.maxAttempts) {
-            dev->stats().inc("hostio.failures");
-            return IoStatus::IoError;
-        }
-        dev->stats().inc("hostio.retries");
-        dev->faultPath().attempt(w.activeFault());
-        eng.waitUntil(eng.now() + backoff(attempt));
-    }
+IoStatus
+HostIoEngine::startAndWait(sim::Warp& w, Request r)
+{
+    IoStatus st = IoStatus::Ok;
+    sim::Fiber* self = sim::Fiber::current();
+    r.onDone = [&st, self](IoStatus s) {
+        st = s;
+        resumeWithEdge(self);
+    };
+    IoStatus v = start(w, std::move(r));
+    if (v != IoStatus::Ok)
+        return v;
+    dev->engine().block();
+    return st;
 }
 
 void
-HostIoEngine::submitRead(Request r)
+HostIoEngine::submit(Request r)
 {
+    sim::Engine& eng = dev->engine();
     // First submission keeps this stamp; retries re-stamp the transfer
     // marks only, so queue_wait absorbs the backoff.
-    dev->faultPath().stamp(r.fid, sim::FaultStage::Enqueue,
-                           dev->engine().now());
-    if (batching)
+    dev->faultPath().stamp(r.fid, sim::FaultStage::Enqueue, eng.now());
+    if (batching && !r.write) {
         enqueueBatched(std::move(r));
-    else
-        issueUnbatchedRead(std::move(r));
+        return;
+    }
+    // Writes, and reads with batching off, ship alone: each pays the
+    // full DMA setup.
+    const size_t bytes = r.len;
+    std::vector<Request> one;
+    one.push_back(std::move(r));
+    ship(std::move(one), bytes,
+         eng.now() + dev->costModel().hostRequestCost);
+}
+
+sim::Cycles
+HostIoEngine::ship(std::vector<Request> group, size_t bytes,
+                   sim::Cycles host_free)
+{
+    sim::BwServer& bus = group.front().write ? pcieToHost : pcieToGpu;
+    const sim::Cycles done =
+        bus.acquireWithSetup(host_free, static_cast<double>(bytes),
+                             dev->costModel().pcieLatency);
+    // An injected delay on any member holds up the whole DMA (the
+    // group completes as one transaction).
+    sim::Cycles delay = 0;
+    for (const Request& r : group) {
+        dev->faultPath().stamp(r.fid, sim::FaultStage::TransferStart,
+                               host_free);
+        delay = std::max(delay, injectedDelay(r));
+    }
+    // Writes occupy the host daemon and the bus like reads do, so both
+    // count toward queueDepth() while the DMA is in flight: the
+    // readahead throttle must see writeback pressure too.
+    inflight += group.size();
+    // The transfer is counted when the DMA lands, batched or not.
+    dev->engine().schedule(done + delay, [this, group = std::move(group)] {
+        dev->stats().inc("hostio.transfers");
+        inflight -= group.size();
+        for (const Request& r : group) {
+            dev->faultPath().stamp(r.fid, sim::FaultStage::TransferEnd,
+                                   dev->engine().now());
+            complete(r);
+        }
+    });
+    return done;
 }
 
 void
-HostIoEngine::issueUnbatchedRead(Request r)
+HostIoEngine::complete(const Request& r)
 {
-    // One PCIe transfer per request: each pays the full DMA setup.
-    const sim::CostModel& cm = dev->costModel();
-    sim::Engine& eng = dev->engine();
-    sim::Cycles host = eng.now() + cm.hostRequestCost;
-    sim::Cycles done = pcieToGpu.acquireWithSetup(
-        host, static_cast<double>(r.len), cm.pcieLatency);
-    done += injectedDelay(r);
-    dev->faultPath().stamp(r.fid, sim::FaultStage::TransferStart, host);
-    ++inflightReads;
-    eng.schedule(done, [this, r = std::move(r)] {
-        dev->stats().inc("hostio.transfers");
-        dev->faultPath().stamp(r.fid, sim::FaultStage::TransferEnd,
-                               dev->engine().now());
-        --inflightReads;
-        completeRead(r);
-    });
+    Fault fl = Fault::None;
+    if (injector)
+        fl = r.write ? injector->onWrite(r.file, r.off, r.len, r.attempt)
+                     : injector->onRead(r.file, r.off, r.len, r.attempt);
+    if (fl != Fault::None) {
+        dev->stats().inc("hostio.injected_faults");
+        finish(r, fl == Fault::Transient ? IoStatus::Again
+                                         : IoStatus::IoError);
+        return;
+    }
+    // The DMA is a host-actor access of device memory: a read of the
+    // source for a write, a write of the destination for a read.
+    if (sim::check::SimCheck::armed) {
+        auto& sc = sim::check::SimCheck::get();
+        const uint32_t mem = dev->mem().checkMemId;
+        if (r.write)
+            sc.onRead(mem, r.addr, r.len);
+        else
+            sc.onWrite(mem, r.addr, r.len);
+    }
+    uint8_t* buf = dev->mem().raw(r.addr, r.len);
+    finish(r, r.write ? store_->pwriteChecked(r.file, buf, r.len, r.off)
+                      : store_->preadChecked(r.file, buf, r.len, r.off));
+}
+
+void
+HostIoEngine::finish(const Request& r, IoStatus st)
+{
+    if (st == IoStatus::Again) {
+        if (r.attempt + 1 < retry.maxAttempts) {
+            // Back off (capped exponential) and re-submit alone, so a
+            // poisoned attempt leaves the batch it rode in on.
+            dev->stats().inc("hostio.retries");
+            dev->faultPath().attempt(r.fid);
+            sim::Engine& eng = dev->engine();
+            Request nr = r;
+            nr.attempt++;
+            eng.schedule(eng.now() + backoff(r.attempt),
+                         [this, nr = std::move(nr)]() mutable {
+                             submit(std::move(nr));
+                         });
+            return;
+        }
+        st = IoStatus::IoError;
+    }
+    if (st != IoStatus::Ok)
+        dev->stats().inc("hostio.failures");
+    r.onDone(st);
 }
 
 void
@@ -199,12 +278,9 @@ void
 HostIoEngine::dispatchBatch()
 {
     const sim::CostModel& cm = dev->costModel();
-    sim::Engine& eng = dev->engine();
 
     std::vector<Request> reqs = std::move(pending);
     pending.clear();
-    if (reqs.empty())
-        return;
 
     // Demand before speculation: low-priority (readahead) requests
     // move to the tail of the window, so they ride later transfers and
@@ -214,7 +290,7 @@ HostIoEngine::dispatchBatch()
 
     // Split into transfers of at most maxBatchBytes.
     size_t i = 0;
-    sim::Cycles host_free = eng.now();
+    sim::Cycles host_free = dev->engine().now();
     while (i < reqs.size()) {
         size_t j = i;
         size_t bytes = 0;
@@ -226,43 +302,20 @@ HostIoEngine::dispatchBatch()
         // The host gathers the file contents into its staging buffer,
         // then issues one DMA for the whole batch: one setup cost for
         // the whole group.
-        host_free += static_cast<double>(j - i) * cm.hostRequestCost;
-        sim::Cycles done = pcieToGpu.acquireWithSetup(
-            host_free, static_cast<double>(bytes), cm.pcieLatency);
-        inflightReads += j - i;
-        dev->stats().inc("hostio.batched_requests", j - i);
+        const size_t n = j - i;
+        host_free += static_cast<double>(n) * cm.hostRequestCost;
+        dev->stats().inc("hostio.batched_requests", n);
+        sim::Cycles done =
+            ship(std::vector<Request>(
+                     std::make_move_iterator(reqs.begin() + i),
+                     std::make_move_iterator(reqs.begin() + j)),
+                 bytes, host_free);
         dev->tracer().span(-2, "dma",
-                           "batch x" + std::to_string(j - i) + " (" +
+                           "batch x" + std::to_string(n) + " (" +
                                std::to_string(bytes) + "B)",
                            host_free, done,
-                           {{"requests", static_cast<double>(j - i)},
+                           {{"requests", static_cast<double>(n)},
                             {"bytes", static_cast<double>(bytes)}});
-        for (size_t k = i; k < j; ++k)
-            dev->faultPath().stamp(reqs[k].fid,
-                                   sim::FaultStage::TransferStart,
-                                   host_free);
-
-        std::vector<Request> group(
-            std::make_move_iterator(reqs.begin() + i),
-            std::make_move_iterator(reqs.begin() + j));
-        // An injected delay on any member holds up the whole DMA (the
-        // batch completes as one transaction).
-        sim::Cycles delay = 0;
-        for (const Request& r : group)
-            delay = std::max(delay, injectedDelay(r));
-        // The transfer is counted when the DMA lands, matching the
-        // unbatched path (counting at dispatch time let mid-run stats
-        // reads disagree between the two paths).
-        eng.schedule(done + delay, [this, group = std::move(group)] {
-            dev->stats().inc("hostio.transfers");
-            inflightReads -= group.size();
-            for (const Request& r : group) {
-                dev->faultPath().stamp(r.fid,
-                                       sim::FaultStage::TransferEnd,
-                                       dev->engine().now());
-                completeRead(r);
-            }
-        });
         i = j;
     }
 }
@@ -270,10 +323,10 @@ HostIoEngine::dispatchBatch()
 uint64_t
 HostIoEngine::quantumFor(tenant::TenantId asid) const
 {
+    constexpr uint64_t kQuantumBytes = 16384; // per IO-weight unit
+    constexpr uint64_t kFloorBytes = 4096;    // zero weight: one page
     uint32_t w = registry_->ioWeightOf(asid);
-    if (w == 0)
-        return qos.floorBytes;
-    return static_cast<uint64_t>(w) * qos.quantumBytes;
+    return w == 0 ? kFloorBytes : w * kQuantumBytes;
 }
 
 void
@@ -335,184 +388,30 @@ HostIoEngine::dispatchQos()
     if (q.empty())
         q.deficit = 0; // no banking credit while idle (classic DRR)
 
-    // Transfer mechanics identical to the legacy batcher: one staging
-    // gather on the host, one DMA setup for the group.
+    // Transfer mechanics shared with the batcher: one staging gather
+    // on the host, one DMA setup for the group.
+    const size_t n = group.size();
     sim::Cycles host_free =
-        eng.now() +
-        static_cast<double>(group.size()) * cm.hostRequestCost;
-    sim::Cycles done = pcieToGpu.acquireWithSetup(
-        host_free, static_cast<double>(bytes), cm.pcieLatency);
-    inflightReads += group.size();
-    dev->stats().inc("hostio.batched_requests", group.size());
+        eng.now() + static_cast<double>(n) * cm.hostRequestCost;
+    dev->stats().inc("hostio.batched_requests", n);
     dev->stats().inc("hostio.qos_dispatches");
     const std::string& pfx = registry_->statPrefix(asid);
-    dev->stats().inc(pfx + "io_requests", group.size());
+    dev->stats().inc(pfx + "io_requests", n);
     dev->stats().inc(pfx + "io_bytes", bytes);
+    sim::Cycles done = ship(std::move(group), bytes, host_free);
     dev->tracer().span(-2, "dma",
                        "qos t" + std::to_string(asid) + " x" +
-                           std::to_string(group.size()) + " (" +
+                           std::to_string(n) + " (" +
                            std::to_string(bytes) + "B)",
                        host_free, done,
-                       {{"requests", static_cast<double>(group.size())},
+                       {{"requests", static_cast<double>(n)},
                         {"bytes", static_cast<double>(bytes)},
                         {"tenant", static_cast<double>(asid)}});
-    for (const Request& r : group)
-        dev->faultPath().stamp(r.fid, sim::FaultStage::TransferStart,
-                               host_free);
-    // An injected delay on any member holds up the whole DMA.
-    sim::Cycles delay = 0;
-    for (const Request& r : group)
-        delay = std::max(delay, injectedDelay(r));
-    eng.schedule(done + delay, [this, group = std::move(group)] {
-        dev->stats().inc("hostio.transfers");
-        inflightReads -= group.size();
-        for (const Request& r : group) {
-            dev->faultPath().stamp(r.fid, sim::FaultStage::TransferEnd,
-                                   dev->engine().now());
-            completeRead(r);
-        }
-    });
 
     // One transfer per dispatch event: the next round is a fresh event
     // ordered behind this DMA, which is what lets another tenant's
     // requests interleave instead of convoying behind this one.
     armDispatch();
-}
-
-void
-HostIoEngine::completeRead(const Request& r)
-{
-    Fault fl = injector
-                   ? injector->onRead(r.file, r.off, r.len, r.attempt)
-                   : Fault::None;
-    if (fl == Fault::None) {
-        noteDmaWrite(dev, r.dst, r.len);
-        IoStatus st = store_->preadChecked(
-            r.file, dev->mem().raw(r.dst, r.len), r.len, r.off);
-        finish(r, st);
-        return;
-    }
-    dev->stats().inc("hostio.injected_faults");
-    finish(r, fl == Fault::Transient ? IoStatus::Again
-                                     : IoStatus::IoError);
-}
-
-void
-HostIoEngine::finish(const Request& r, IoStatus st)
-{
-    if (r.waiter) {
-        // Blocking request: hand the attempt status to the fiber; its
-        // retry loop owns backoff and re-submission.
-        *r.out = st;
-        resumeWithEdge(r.waiter);
-        return;
-    }
-    // Async request: the engine retries transients itself, so the
-    // callback fires exactly once with a terminal status.
-    if (st == IoStatus::Again) {
-        if (r.attempt + 1 >= retry.maxAttempts) {
-            dev->stats().inc("hostio.failures");
-            r.onDone(IoStatus::IoError);
-            return;
-        }
-        dev->stats().inc("hostio.retries");
-        dev->faultPath().attempt(r.fid);
-        sim::Engine& eng = dev->engine();
-        Request nr = r;
-        nr.attempt++;
-        eng.schedule(eng.now() + backoff(r.attempt),
-                     [this, nr = std::move(nr)]() mutable {
-                         submitRead(std::move(nr));
-                     });
-        return;
-    }
-    if (st != IoStatus::Ok)
-        dev->stats().inc("hostio.failures");
-    r.onDone(st);
-}
-
-IoStatus
-HostIoEngine::readToGpuAsync(sim::Warp& w, FileId f, uint64_t off,
-                             size_t len, sim::Addr gpu_dst,
-                             std::function<void(IoStatus)> on_done,
-                             bool low_priority)
-{
-    IoStatus v = store_->checkRange(f, off, len);
-    if (v != IoStatus::Ok) {
-        dev->stats().inc("hostio.failures");
-        return v;
-    }
-    dev->stats().inc("hostio.read_requests");
-    dev->stats().inc("hostio.read_bytes", len);
-    if (low_priority)
-        dev->stats().inc("hostio.low_priority_requests");
-    w.issue(8);
-    submitRead(Request{f, off, len, gpu_dst, nullptr, nullptr,
-                       std::move(on_done), 0, low_priority,
-                       w.activeFault(), w.tenant()});
-    return IoStatus::Ok;
-}
-
-IoStatus
-HostIoEngine::writeFromGpu(sim::Warp& w, FileId f, uint64_t off, size_t len,
-                           sim::Addr gpu_src)
-{
-    IoStatus v = store_->checkRange(f, off, len);
-    if (v != IoStatus::Ok) {
-        dev->stats().inc("hostio.failures");
-        return v;
-    }
-    const sim::CostModel& cm = dev->costModel();
-    sim::Engine& eng = dev->engine();
-    dev->stats().inc("hostio.write_requests");
-    dev->stats().inc("hostio.write_bytes", len);
-    w.issue(8);
-
-    // Same retry shape as readToGpu; writes are never batched.
-    for (int attempt = 0;; ++attempt) {
-        sim::Cycles host = eng.now() + cm.hostRequestCost;
-        sim::Cycles done = pcieToHost.acquireWithSetup(
-            host, static_cast<double>(len), cm.pcieLatency);
-        Request r{f, off, len, gpu_src, sim::Fiber::current(), nullptr,
-                  nullptr, attempt};
-        r.asid = w.tenant();
-        done += injectedDelay(r);
-        IoStatus st = IoStatus::Ok;
-        r.out = &st;
-        // Writes occupy the host daemon and the bus like reads do, so
-        // they count toward queueDepth() while the DMA is in flight —
-        // the readahead throttle must see writeback pressure too.
-        ++inflightWrites;
-        eng.schedule(done, [this, r = std::move(r)] {
-            dev->stats().inc("hostio.transfers");
-            --inflightWrites;
-            Fault fl = injector ? injector->onWrite(r.file, r.off, r.len,
-                                                    r.attempt)
-                                : Fault::None;
-            if (fl == Fault::None) {
-                noteDmaRead(dev, r.dst, r.len);
-                IoStatus wst = store_->pwriteChecked(
-                    r.file, dev->mem().raw(r.dst, r.len), r.len, r.off);
-                finish(r, wst);
-                return;
-            }
-            dev->stats().inc("hostio.injected_faults");
-            finish(r, fl == Fault::Transient ? IoStatus::Again
-                                             : IoStatus::IoError);
-        });
-        eng.block();
-        if (st != IoStatus::Again) {
-            if (st != IoStatus::Ok)
-                dev->stats().inc("hostio.failures");
-            return st;
-        }
-        if (attempt + 1 >= retry.maxAttempts) {
-            dev->stats().inc("hostio.failures");
-            return IoStatus::IoError;
-        }
-        dev->stats().inc("hostio.retries");
-        eng.waitUntil(eng.now() + backoff(attempt));
-    }
 }
 
 int64_t

@@ -6,10 +6,17 @@
  * page size"): multiple outstanding small reads are aggregated on the
  * host and shipped to the GPU in a single DMA transfer.
  *
+ * Every transfer, read or write, blocking or asynchronous, takes one
+ * path: start (range check, counters, doorbell) -> submit (join the
+ * batching window, or ship alone) -> ship (one DMA for a group) ->
+ * complete (injector verdict, then the host read or write) -> finish.
+ * A blocking call is the asynchronous one plus a callback that resumes
+ * the waiting fiber.
+ *
  * Failure semantics (DESIGN.md section 10): every transfer validates
  * its byte range up front and returns an IoStatus instead of
  * asserting. An attached FaultInjector can fail or delay individual
- * transfer attempts; transient failures are retried with capped
+ * transfer attempts; finish() retries transient failures with capped
  * exponential backoff, tracked per request so one poisoned request
  * cannot wedge the batch it rode in on.
  */
@@ -18,6 +25,7 @@
 #define AP_HOSTIO_HOST_IO_ENGINE_HH
 
 #include <deque>
+#include <functional>
 #include <map>
 #include <vector>
 
@@ -50,22 +58,6 @@ class HostIoEngine
     };
 
     /**
-     * Fair-scheduling knobs for the per-tenant deficit-round-robin
-     * dispatcher, active only while a TenantRegistry is attached.
-     */
-    struct QosConfig
-    {
-        /** Bytes of deficit credit one IO-weight unit earns per
-         * round-robin visit; a tenant with ioWeight w may dispatch up
-         * to w * quantumBytes per round (plus carried-over deficit). */
-        size_t quantumBytes = 16384;
-
-        /** Credit per visit for zero-weight tenants: one page per
-         * round, so best-effort traffic trickles but never starves. */
-        size_t floorBytes = 4096;
-    };
-
-    /**
      * @param dev      the simulated GPU (shares its engine and memory)
      * @param store    the host file system
      * @param batching enable host-side aggregation of small transfers
@@ -90,15 +82,13 @@ class HostIoEngine
      * status at the simulated completion time instead of blocking the
      * warp. Transient failures are retried engine-side before @p
      * on_done fires. Used by the prefetch (gmadvise) path.
-     * @return Ok if the request was enqueued (the callback will fire
-     *         exactly once), or a validation error (callback never
-     *         fires)
-     */
-    /**
      * @param low_priority speculative traffic (readahead): within an
      *        aggregation window, demand requests dispatch first, so a
      *        burst of speculation never delays a demand DMA that
      *        arrived in the same batch
+     * @return Ok if the request was enqueued (the callback will fire
+     *         exactly once), or a validation error (callback never
+     *         fires)
      */
     IoStatus readToGpuAsync(sim::Warp& w, FileId f, uint64_t off,
                             size_t len, sim::Addr gpu_dst,
@@ -127,9 +117,6 @@ class HostIoEngine
     /** Enable/disable batching (ablation knob). */
     void setBatching(bool on) { batching = on; }
 
-    /** Whether batching is enabled. */
-    bool batchingEnabled() const { return batching; }
-
     /** Attach a fault injector (null detaches; not owned). */
     void setFaultInjector(FaultInjector* fi) { injector = fi; }
 
@@ -138,9 +125,6 @@ class HostIoEngine
 
     /** Replace the retry policy. */
     void setRetryPolicy(const RetryPolicy& p) { retry = p; }
-
-    /** The retry policy in force. */
-    const RetryPolicy& retryPolicy() const { return retry; }
 
     /** The backing store served by this engine. */
     BackingStore& store() { return *store_; }
@@ -157,15 +141,6 @@ class HostIoEngine
         registry_ = reg;
     }
 
-    /** The attached tenant registry, or null. */
-    tenant::TenantRegistry* tenantRegistry() { return registry_; }
-
-    /** Replace the fair-scheduling knobs. */
-    void setQosConfig(const QosConfig& q) { qos = q; }
-
-    /** The fair-scheduling knobs in force. */
-    const QosConfig& qosConfig() const { return qos; }
-
     /**
      * Host-side congestion probe: transfers not yet delivered —
      * batched reads awaiting dispatch (either queue discipline) plus
@@ -177,8 +152,7 @@ class HostIoEngine
      */
     size_t queueDepth() const
     {
-        return pending.size() + qosQueued + inflightReads +
-               inflightWrites;
+        return pending.size() + qosQueued + inflight;
     }
 
     /** Batched reads of tenant @p asid still awaiting dispatch. */
@@ -196,12 +170,11 @@ class HostIoEngine
         FileId file;
         uint64_t off;
         size_t len;
-        sim::Addr dst;
-        sim::Fiber* waiter = nullptr;  ///< resumed if non-null
-        IoStatus* out = nullptr;       ///< status for the waiter
-        std::function<void(IoStatus)> onDone; ///< called if set
-        int attempt = 0;               ///< retry ordinal (0 = first)
+        sim::Addr addr;                ///< device buffer (dst or src)
+        std::function<void(IoStatus)> onDone; ///< the terminal status
+        bool write = false;            ///< device-to-host transfer
         bool low = false;              ///< low-priority (speculative)
+        int attempt = 0;               ///< retry ordinal (0 = first)
         uint64_t fid = 0;              ///< fault id (0 = untracked)
         tenant::TenantId asid = 0;     ///< requesting address space
     };
@@ -221,6 +194,50 @@ class HostIoEngine
         }
     };
 
+    /**
+     * Validate @p r's range, count the request, ring the doorbell (8
+     * instructions on @p w) and submit it.
+     * @return Ok if submitted (onDone will fire exactly once), or the
+     *         validation error (onDone never fires)
+     */
+    IoStatus start(sim::Warp& w, Request r) AP_MUST_CHECK;
+
+    /**
+     * start() @p r, then block the calling fiber until its terminal
+     * status arrives; the completion callback resumes the fiber.
+     */
+    IoStatus startAndWait(sim::Warp& w, Request r)
+        AP_YIELDS AP_MUST_CHECK;
+
+    /**
+     * Stamp the enqueue stage, then add a batched read to the
+     * aggregation window or ship anything else as its own transfer.
+     */
+    void submit(Request r);
+
+    /**
+     * Ship @p group (@p bytes in total, all in one direction) as one
+     * DMA once the host has staged it at @p host_free: reserve the bus,
+     * stamp the transfer start, and schedule the completion, held up
+     * by the largest injected delay of any member.
+     * @return when the DMA itself ends (injected delay excluded)
+     */
+    sim::Cycles ship(std::vector<Request> group, size_t bytes,
+                     sim::Cycles host_free);
+
+    /**
+     * Host-side completion of one attempt: consult the injector, then
+     * move the bytes, and hand the outcome to finish().
+     */
+    void complete(const Request& r);
+
+    /**
+     * Deliver an attempt's outcome: re-submit a transient failure
+     * after backoff while attempts remain, otherwise call onDone with
+     * the terminal status exactly once.
+     */
+    void finish(const Request& r, IoStatus st);
+
     /** Backoff before re-issuing attempt @p attempt + 1. */
     sim::Cycles backoff(int attempt) const;
 
@@ -229,25 +246,6 @@ class HostIoEngine
 
     /** Add @p r to the aggregation window, arming dispatch if idle. */
     void enqueueBatched(Request r);
-
-    /** Issue @p r as its own PCIe transfer. */
-    void issueUnbatchedRead(Request r);
-
-    /** Enqueue attempt @p r on whichever path is configured. */
-    void submitRead(Request r);
-
-    /**
-     * Host-side completion of one read attempt: consult the injector,
-     * deliver the bytes or a failure to finish().
-     */
-    void completeRead(const Request& r);
-
-    /**
-     * Deliver the attempt outcome: resume a blocked waiter with the
-     * status, or (async requests) retry transient failures engine-side
-     * and invoke the callback with the terminal status.
-     */
-    void finish(const Request& r, IoStatus st);
 
     /** Dispatch-event body: drains whichever queues hold requests. */
     void dispatch();
@@ -265,7 +263,11 @@ class HostIoEngine
      */
     void dispatchQos();
 
-    /** DRR credit one visit earns tenant @p asid. */
+    /**
+     * DRR credit one visit earns tenant @p asid: 16 KiB per IO-weight
+     * unit, or one 4 KiB page for a zero-weight tenant, so best-effort
+     * traffic trickles but never starves.
+     */
     uint64_t quantumFor(tenant::TenantId asid) const;
 
     /** Re-arm the dispatch event if requests remain queued. */
@@ -275,7 +277,6 @@ class HostIoEngine
     BackingStore* store_;
     FaultInjector* injector = nullptr;
     RetryPolicy retry;
-    QosConfig qos;
     tenant::TenantRegistry* registry_ = nullptr;
     bool batching;
     sim::BwServer pcieToGpu;
@@ -285,8 +286,7 @@ class HostIoEngine
     size_t qosQueued = 0;     ///< total requests across qosQueues
     tenant::TenantId rrCursor = 0; ///< next ASID the DRR visits
     bool dispatchScheduled = false;
-    size_t inflightReads = 0; ///< dispatched reads awaiting completion
-    size_t inflightWrites = 0; ///< writes with the DMA in flight
+    size_t inflight = 0;      ///< shipped requests whose DMA is in flight
 };
 
 } // namespace ap::hostio

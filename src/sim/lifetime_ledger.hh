@@ -1,0 +1,151 @@
+/**
+ * @file
+ * The lifetime ledger both translation levels share: the software TLB
+ * keeps one per threadblock (a record per entry), the page cache one
+ * per cache (a record per frame). A record opens when a mapping is
+ * installed, counts the hits it absorbs, and retires when it leaves,
+ * charged to exactly one reason of the owner's taxonomy.
+ *
+ * Following the Dead on Arrival paper (PAPERS.md), every retirement
+ * bumps `<prefix>.evict.<reason>`, and one with zero hits also bumps
+ * `<prefix>.doa.<reason>`. The ledger also counts opens, records the
+ * open-to-retire lifetime histogram, sums the hits of retired records,
+ * keeps the live count, and throttles the owner's trace samples.
+ * Host bookkeeping only: it costs no simulated cycles or device bytes.
+ */
+
+#ifndef AP_SIM_LIFETIME_LEDGER_HH
+#define AP_SIM_LIFETIME_LEDGER_HH
+
+#include <array>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "sim/trace.hh"
+#include "sim/types.hh"
+#include "util/stats.hh"
+
+namespace ap::sim {
+
+/** Per-slot lifetimes under an @p N-reason taxonomy enum @p Reason. */
+template <typename Reason, size_t N>
+class LifetimeLedger
+{
+  public:
+    /** One slot's open lifetime (or the last one, once retired). */
+    struct Record
+    {
+        Cycles openCycle = 0;    ///< when the mapping was installed
+        Cycles lastHitCycle = 0; ///< latest hit; openCycle before any
+        uint64_t hits = 0;       ///< hits absorbed since open
+        bool live = false;       ///< the slot holds a mapping
+    };
+
+    /**
+     * @param prefix   stat prefix of the owner ("tlb", "pagecache")
+     * @param reasons  printable reason names, indexed by Reason
+     * @param opens    counter bumped by every open
+     * @param lifetime histogram of open-to-retire cycles
+     * @param slots    number of slots
+     */
+    LifetimeLedger(const std::string& prefix,
+                   const std::array<const char*, N>& reasons,
+                   std::string opens, std::string lifetime, size_t slots)
+        : opensName(std::move(opens)), lifetimeName(std::move(lifetime)),
+          recs(slots)
+    {
+        for (size_t i = 0; i < N; ++i) {
+            evictNames[i] = prefix + ".evict." + reasons[i];
+            doaNames[i] = prefix + ".doa." + reasons[i];
+        }
+    }
+
+    /** Open a fresh lifetime on @p slot at @p now. */
+    void
+    open(StatGroup& st, size_t slot, Cycles now)
+    {
+        Record& r = recs[slot];
+        if (!r.live)
+            ++live_;
+        r = Record{now, now, 0, true};
+        st.inc(opensName);
+    }
+
+    /**
+     * Count a hit on @p slot at @p now (nothing if it is not live).
+     * @return the record as it was before the hit
+     */
+    Record
+    hit(size_t slot, Cycles now)
+    {
+        Record& r = recs[slot];
+        const Record before = r;
+        if (r.live) {
+            r.lastHitCycle = now;
+            r.hits++;
+        }
+        return before;
+    }
+
+    /**
+     * Retire @p slot at @p now for @p reason (nothing if it is not
+     * live).
+     * @return the record as it was at retirement
+     */
+    Record
+    retire(StatGroup& st, size_t slot, Reason reason, Cycles now)
+    {
+        Record& r = recs[slot];
+        const Record rec = r;
+        if (!rec.live)
+            return rec;
+        const size_t i = static_cast<size_t>(reason);
+        st.inc(evictNames[i]);
+        if (rec.hits == 0)
+            st.inc(doaNames[i]);
+        st.recordValue(lifetimeName, now - rec.openCycle);
+        retiredHits_ += rec.hits;
+        r.live = false;
+        --live_;
+        return rec;
+    }
+
+    /**
+     * The owner's trace-sample throttle: true, restarting the window,
+     * when tracing is on and no sample was taken in the last
+     * kCounterIntervalCycles (the first sample always passes).
+     */
+    bool
+    sampleDue(const Tracer& tr, Cycles now)
+    {
+        if (!tr.enabled() ||
+            (sampled && now - lastSample < kCounterIntervalCycles))
+            return false;
+        sampled = true;
+        lastSample = now;
+        return true;
+    }
+
+    /** Slots currently live. */
+    size_t live() const { return live_; }
+
+    /** Hits summed over every retired record. */
+    uint64_t retiredHits() const { return retiredHits_; }
+
+  private:
+    std::array<std::string, N> evictNames;
+    std::array<std::string, N> doaNames;
+    std::string opensName;
+    std::string lifetimeName;
+    std::vector<Record> recs;
+    size_t live_ = 0;
+    uint64_t retiredHits_ = 0;
+    Cycles lastSample = 0; ///< cycle of the previous sample
+    bool sampled = false;  ///< a sample has been taken
+};
+
+} // namespace ap::sim
+
+#endif // AP_SIM_LIFETIME_LEDGER_HH

@@ -350,5 +350,108 @@ TEST(HostIoFault, TransferParityBetweenBatchedAndUnbatched)
     EXPECT_EQ(transfers(true), transfers(false));
 }
 
+/**
+ * Golden retry timing. Four warps run blocking reads, blocking writes
+ * and one asynchronous read each through a seeded mix of transient
+ * read and write failures and delayed completions, batched and
+ * unbatched. Every expected value is exact, so a retry that moves by
+ * one event changes the launch cycles or a counter. Each read runs
+ * inside an open fault record and some writes are issued inside it
+ * too: writes carry no fault id, so they must neither stamp the
+ * fault's transfer stages nor count toward faultpath.retries.
+ */
+TEST(HostIoFault, RetryTimingIsPinned)
+{
+    struct Outcome
+    {
+        sim::Cycles cycles;
+        uint64_t retries, transfers, failures, fpRetries;
+        double majorTransfer;
+        int terminal;
+    };
+    auto run = [](bool batching) {
+        FiFixture fx;
+        FileId f = fx.bs.create("f", 32 * 4096);
+        HostIoEngine io(fx.dev, fx.bs, batching);
+        FaultInjector::Config cfg;
+        cfg.seed = 21;
+        cfg.transientReadRate = 0.4;
+        cfg.transientWriteRate = 0.4;
+        cfg.delayRate = 0.2;
+        cfg.delayCycles = 7000;
+        FaultInjector fi(cfg);
+        io.setFaultInjector(&fi);
+        HostIoEngine::RetryPolicy rp;
+        rp.maxAttempts = 3;
+        io.setRetryPolicy(rp);
+
+        Outcome o{};
+        int async_calls = 0;
+        o.cycles = fx.dev.launch(1, 4, [&](sim::Warp& w) {
+            sim::FaultPath& fp = fx.dev.faultPath();
+            const uint64_t base = w.warpInBlock() * 8u;
+            for (uint64_t k = 0; k < 4; ++k) {
+                const uint64_t page = base + k;
+                const sim::Addr a = fx.buf + page * 4096;
+                const uint64_t fid =
+                    fp.begin(w.warpInBlock(), f, page, w.now());
+                w.setActiveFault(fid);
+                IoStatus st = io.readToGpu(w, f, page * 4096, 4096, a);
+                o.terminal += st != IoStatus::Ok;
+                if (k % 2 == 1) {
+                    IoStatus ws =
+                        io.writeFromGpu(w, f, page * 4096, 4096, a);
+                    o.terminal += ws != IoStatus::Ok;
+                }
+                w.setActiveFault(0);
+                fp.end(fid,
+                       st == IoStatus::Ok ? sim::FaultKind::Major
+                                          : sim::FaultKind::Error,
+                       w.now());
+            }
+            const uint64_t page = base + 7;
+            EXPECT_EQ(io.readToGpuAsync(w, f, page * 4096, 4096,
+                                        fx.buf + page * 4096,
+                                        [&](IoStatus st) {
+                                            ++async_calls;
+                                            o.terminal +=
+                                                st != IoStatus::Ok;
+                                        }),
+                      IoStatus::Ok);
+        });
+        EXPECT_EQ(async_calls, 4);
+        const StatGroup& s = fx.dev.stats();
+        o.retries = s.counter("hostio.retries");
+        o.transfers = s.counter("hostio.transfers");
+        o.failures = s.counter("hostio.failures");
+        o.fpRetries = s.counter("faultpath.retries");
+        const Histogram* h = s.findHistogram("faultpath.major.transfer");
+        o.majorTransfer = h ? h->sum() : -1.0;
+        return o;
+    };
+    // Retries, failures and faultpath.retries do not depend on
+    // batching (the injector draws per request and attempt); the
+    // transfer count, the timing and the transfer-stage sum do.
+    // faultpath.retries (11) counts only the reads' retries inside an
+    // open fault, out of 18.
+    const Outcome batched = run(true);
+    EXPECT_EQ(batched.cycles, 213350.08219178076);
+    EXPECT_EQ(batched.retries, 18u);
+    EXPECT_EQ(batched.transfers, 33u);
+    EXPECT_EQ(batched.failures, 3u);
+    EXPECT_EQ(batched.fpRetries, 11u);
+    EXPECT_EQ(batched.majorTransfer, 156819.17808219179);
+    EXPECT_EQ(batched.terminal, 3);
+
+    const Outcome unbatched = run(false);
+    EXPECT_EQ(unbatched.cycles, 282388.98630136967);
+    EXPECT_EQ(unbatched.retries, 18u);
+    EXPECT_EQ(unbatched.transfers, 46u);
+    EXPECT_EQ(unbatched.failures, 3u);
+    EXPECT_EQ(unbatched.fpRetries, 11u);
+    EXPECT_EQ(unbatched.majorTransfer, 332173.91780821898);
+    EXPECT_EQ(unbatched.terminal, 3);
+}
+
 } // namespace
 } // namespace ap::hostio

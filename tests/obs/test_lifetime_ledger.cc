@@ -1,0 +1,113 @@
+/**
+ * @file
+ * Unit tests of sim::LifetimeLedger, the per-slot lifetime record and
+ * dead-on-arrival taxonomy the TLB and the page cache share: what a
+ * retirement counts (and that a slot that is not live counts
+ * nothing), what hit() hands back, and the trace-sample throttle.
+ */
+
+#include <gtest/gtest.h>
+
+#include "sim/lifetime_ledger.hh"
+
+namespace ap::sim {
+namespace {
+
+enum class Why : uint8_t
+{
+    Evicted = 0,
+    Dropped = 1,
+};
+
+using Ledger = LifetimeLedger<Why, 2>;
+
+Ledger
+makeLedger(size_t slots = 4)
+{
+    return Ledger("t", {"evicted", "dropped"}, "t.opens", "t.lifetime",
+                  slots);
+}
+
+TEST(LifetimeLedger, RetiringASlotThatIsNotLiveCountsNothing)
+{
+    StatGroup st;
+    Ledger l = makeLedger();
+    auto rec = l.retire(st, 1, Why::Evicted, 50);
+    EXPECT_FALSE(rec.live);
+    EXPECT_EQ(st.counter("t.evict.evicted"), 0u);
+    EXPECT_EQ(st.counter("t.doa.evicted"), 0u);
+    EXPECT_EQ(st.findHistogram("t.lifetime"), nullptr);
+    EXPECT_EQ(l.live(), 0u);
+
+    // A second retirement of an already-retired slot is a no-op too.
+    l.open(st, 1, 10);
+    l.retire(st, 1, Why::Evicted, 20);
+    l.retire(st, 1, Why::Dropped, 30);
+    EXPECT_EQ(st.counter("t.evict.evicted"), 1u);
+    EXPECT_EQ(st.counter("t.evict.dropped"), 0u);
+    EXPECT_EQ(st.findHistogram("t.lifetime")->count(), 1u);
+    EXPECT_EQ(l.live(), 0u);
+}
+
+TEST(LifetimeLedger, DeadOnArrivalOnlyForZeroHitRetirements)
+{
+    StatGroup st;
+    Ledger l = makeLedger();
+    l.open(st, 0, 100);
+    l.open(st, 2, 100);
+    EXPECT_EQ(st.counter("t.opens"), 2u);
+    EXPECT_EQ(l.live(), 2u);
+    l.hit(2, 130);
+    l.hit(2, 170);
+
+    auto dead = l.retire(st, 0, Why::Dropped, 400);
+    EXPECT_TRUE(dead.live);
+    EXPECT_EQ(dead.hits, 0u);
+    auto used = l.retire(st, 2, Why::Dropped, 500);
+    EXPECT_EQ(used.hits, 2u);
+    EXPECT_EQ(used.openCycle, 100.0);
+
+    EXPECT_EQ(st.counter("t.evict.dropped"), 2u);
+    EXPECT_EQ(st.counter("t.doa.dropped"), 1u);
+    EXPECT_EQ(st.counter("t.evict.evicted"), 0u);
+    const Histogram* life = st.findHistogram("t.lifetime");
+    ASSERT_NE(life, nullptr);
+    EXPECT_EQ(life->count(), 2u);
+    EXPECT_EQ(life->sum(), 300.0 + 400.0);
+    EXPECT_EQ(l.retiredHits(), 2u);
+    EXPECT_EQ(l.live(), 0u);
+}
+
+TEST(LifetimeLedger, HitReturnsTheRecordBeforeTheHit)
+{
+    StatGroup st;
+    Ledger l = makeLedger();
+    l.open(st, 3, 40);
+    auto first = l.hit(3, 65);
+    EXPECT_TRUE(first.live);
+    EXPECT_EQ(first.hits, 0u);
+    EXPECT_EQ(first.openCycle, 40.0);
+    EXPECT_EQ(first.lastHitCycle, 40.0); // no hit yet: the open cycle
+    auto second = l.hit(3, 90);
+    EXPECT_EQ(second.hits, 1u);
+    EXPECT_EQ(second.lastHitCycle, 65.0);
+
+    // A hit on a slot that is not live counts nothing.
+    auto none = l.hit(1, 95);
+    EXPECT_FALSE(none.live);
+    EXPECT_EQ(l.hit(1, 99).hits, 0u);
+}
+
+TEST(LifetimeLedger, SampleThrottle)
+{
+    Tracer tr;
+    Ledger l = makeLedger();
+    EXPECT_FALSE(l.sampleDue(tr, 1000)); // tracing off
+    tr.enable();
+    EXPECT_TRUE(l.sampleDue(tr, 1000)); // first sample
+    EXPECT_FALSE(l.sampleDue(tr, 1000 + kCounterIntervalCycles - 1));
+    EXPECT_TRUE(l.sampleDue(tr, 1000 + kCounterIntervalCycles));
+}
+
+} // namespace
+} // namespace ap::sim

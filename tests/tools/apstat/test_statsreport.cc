@@ -148,5 +148,33 @@ TEST(StatsReport, GoldenTelemetryTables)
     EXPECT_EQ(os.str(), golden);
 }
 
+TEST(StatsReport, DeadEntryTableListsEveryReasonTheDumpCarries)
+{
+    // "late_bypass" is no reason the simulator has today: the table
+    // is built from the dump's own pagecache.evict.* keys, so a new
+    // reason prints and counts toward the total with no apstat change.
+    const std::string doc =
+        "{\"counters\":{"
+        "\"pagecache.evict.clock_sweep\":6,"
+        "\"pagecache.doa.clock_sweep\":1,"
+        "\"pagecache.evict.late_bypass\":4,"
+        "\"pagecache.doa.late_bypass\":3},"
+        "\"scalars\":{},\"histograms\":{}}";
+    StatsReport r;
+    std::string err;
+    ASSERT_TRUE(r.build(parse(doc), err)) << err;
+    std::ostringstream os;
+    r.printPageCacheTable(os);
+    const std::string golden =
+        "Page-cache frame-lifetime breakdown (frames evicted with zero "
+        "demand hits):\n"
+        "reason       evicted  doa  doa%\n"
+        "--------------------------------\n"
+        "clock_sweep  6        1    16.7%\n"
+        "late_bypass  4        3    75.0%\n"
+        "total        10       4    40.0%\n";
+    EXPECT_EQ(os.str(), golden);
+}
+
 } // namespace
 } // namespace ap::apstat

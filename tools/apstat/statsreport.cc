@@ -1,7 +1,6 @@
 #include "statsreport.hh"
 
 #include <algorithm>
-#include <array>
 #include <string_view>
 #include <vector>
 
@@ -10,14 +9,6 @@
 namespace ap::apstat {
 
 namespace {
-
-/** Eviction-reason display order; mirrors the simulator enums. */
-constexpr std::array<std::string_view, 4> kTlbReasons{
-    "conflict", "invalidation", "shootdown", "teardown"};
-constexpr std::array<std::string_view, 7> kPcReasons{
-    "clock_sweep",      "reserve_refill", "bucket_overflow",
-    "poisoned_reclaim", "spec_victim",    "cross_tenant",
-    "teardown"};
 
 bool
 startsWith(const std::string& s, std::string_view prefix)
@@ -43,28 +34,32 @@ summaryRow(TextTable& t, const std::string& label,
            TextTable::num(h.p99)});
 }
 
-/** Shared dead-entry table: per-reason evicted/DoA/DoA% plus total. */
-template <size_t N>
+/**
+ * Shared dead-entry table: one evicted/DoA/DoA% row per
+ * `<prefix>.evict.<reason>` counter the dump carries, in key order,
+ * plus the total.
+ */
 void
 deadEntryTable(std::ostream& os, const StatsReport& r,
-               const std::array<std::string_view, N>& reasons,
-               std::string_view evictPrefix, std::string_view doaPrefix)
+               const std::string& prefix)
 {
+    const std::string evict_prefix = prefix + ".evict.";
+    const std::string doa_prefix = prefix + ".doa.";
     TextTable t;
     t.header({"reason", "evicted", "doa", "doa%"});
     double evict_total = 0;
     double doa_total = 0;
-    for (std::string_view reason : reasons) {
-        double ev = lookupOr(r.counters,
-                             std::string(evictPrefix) + std::string(reason));
-        double doa = lookupOr(r.counters,
-                              std::string(doaPrefix) + std::string(reason));
+    for (auto it = r.counters.lower_bound(evict_prefix);
+         it != r.counters.end() && startsWith(it->first, evict_prefix);
+         ++it) {
+        const std::string reason = it->first.substr(evict_prefix.size());
+        double ev = it->second;
+        double doa = lookupOr(r.counters, doa_prefix + reason);
         evict_total += ev;
         doa_total += doa;
         if (ev == 0 && doa == 0)
             continue;
-        t.row({std::string(reason), TextTable::num(ev, 0),
-               TextTable::num(doa, 0),
+        t.row({reason, TextTable::num(ev, 0), TextTable::num(doa, 0),
                ev > 0 ? TextTable::pct(doa / ev) : "-"});
     }
     t.row({"total", TextTable::num(evict_total, 0),
@@ -167,7 +162,7 @@ void
 StatsReport::printTlbTable(std::ostream& os) const
 {
     os << "TLB dead-entry breakdown (entries evicted with zero hits):\n";
-    deadEntryTable(os, *this, kTlbReasons, "tlb.evict.", "tlb.doa.");
+    deadEntryTable(os, *this, "tlb");
     TextTable t;
     t.header({"distribution", "count", "min", "max", "mean", "p50",
               "p95", "p99"});
@@ -190,8 +185,7 @@ StatsReport::printPageCacheTable(std::ostream& os) const
 {
     os << "Page-cache frame-lifetime breakdown (frames evicted with "
           "zero demand hits):\n";
-    deadEntryTable(os, *this, kPcReasons, "pagecache.evict.",
-                   "pagecache.doa.");
+    deadEntryTable(os, *this, "pagecache");
     TextTable t;
     t.header({"distribution", "count", "min", "max", "mean", "p50",
               "p95", "p99"});
