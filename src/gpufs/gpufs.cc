@@ -5,8 +5,8 @@
 namespace ap::gpufs {
 
 hostio::IoStatus
-GpuFs::gread(sim::Warp& w, hostio::FileId f, uint64_t off, size_t len,
-             sim::Addr dst)
+GpuFs::transfer(sim::Warp& w, hostio::FileId f, uint64_t off, size_t len,
+                sim::Addr buf, bool write)
 {
     size_t done = 0;
     while (done < len) {
@@ -16,32 +16,13 @@ GpuFs::gread(sim::Warp& w, hostio::FileId f, uint64_t off, size_t len,
         size_t chunk = std::min(len - done, pageSize() - in_page);
 
         PageKey key = makePageKey(w.tenant(), f, page_no);
-        AcquireResult r = cache_.acquirePage(w, key, 1, false);
+        AcquireResult r = cache_.acquirePage(w, key, 1, write);
         if (!r.ok())
             return r.status; // no reference held on the failed page
-        w.copyGlobal(dst + done, r.frameAddr + in_page, chunk);
-        cache_.releasePage(w, key, 1);
-        done += chunk;
-    }
-    return hostio::IoStatus::Ok;
-}
-
-hostio::IoStatus
-GpuFs::gwrite(sim::Warp& w, hostio::FileId f, uint64_t off, size_t len,
-              sim::Addr src)
-{
-    size_t done = 0;
-    while (done < len) {
-        uint64_t cur = off + done;
-        uint64_t page_no = cur / pageSize();
-        size_t in_page = cur % pageSize();
-        size_t chunk = std::min(len - done, pageSize() - in_page);
-
-        PageKey key = makePageKey(w.tenant(), f, page_no);
-        AcquireResult r = cache_.acquirePage(w, key, 1, true);
-        if (!r.ok())
-            return r.status; // no reference held on the failed page
-        w.copyGlobal(r.frameAddr + in_page, src + done, chunk);
+        if (write)
+            w.copyGlobal(r.frameAddr + in_page, buf + done, chunk);
+        else
+            w.copyGlobal(buf + done, r.frameAddr + in_page, chunk);
         cache_.releasePage(w, key, 1);
         done += chunk;
     }

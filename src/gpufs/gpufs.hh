@@ -92,17 +92,25 @@ class GpuFs
      * @return Ok, or the first page's failure status (the transfer
      *         stops at the failed page; earlier pages were copied)
      */
-    hostio::IoStatus gread(sim::Warp& w, hostio::FileId f, uint64_t off,
-                           size_t len, sim::Addr dst)
-        AP_ELECTS_LEADER AP_YIELDS AP_MUST_CHECK AP_BALANCED;
+    hostio::IoStatus
+    gread(sim::Warp& w, hostio::FileId f, uint64_t off, size_t len,
+          sim::Addr dst)
+        AP_ELECTS_LEADER AP_YIELDS AP_MUST_CHECK AP_BALANCED
+    {
+        return transfer(w, f, off, len, dst, false);
+    }
 
     /**
      * Warp-level file write through the page cache.
      * @return Ok, or the first page's failure status
      */
-    hostio::IoStatus gwrite(sim::Warp& w, hostio::FileId f, uint64_t off,
-                            size_t len, sim::Addr src)
-        AP_ELECTS_LEADER AP_YIELDS AP_MUST_CHECK AP_BALANCED;
+    hostio::IoStatus
+    gwrite(sim::Warp& w, hostio::FileId f, uint64_t off, size_t len,
+           sim::Addr src)
+        AP_ELECTS_LEADER AP_YIELDS AP_MUST_CHECK AP_BALANCED
+    {
+        return transfer(w, f, off, len, src, true);
+    }
 
     /**
      * Advisory prefetch (madvise(WILLNEED) for GPU mappings): start
@@ -142,6 +150,12 @@ class GpuFs
     sim::Device& device() { return *dev_; }
 
   private:
+    /** The gread/gwrite loop: @p write copies @p buf into the pages
+     * (dirtying them), otherwise the pages into @p buf. */
+    hostio::IoStatus transfer(sim::Warp& w, hostio::FileId f, uint64_t off,
+                              size_t len, sim::Addr buf, bool write)
+        AP_ELECTS_LEADER AP_YIELDS AP_MUST_CHECK AP_BALANCED;
+
     sim::Device* dev_;
     hostio::HostIoEngine* io_;
     PageCache cache_;

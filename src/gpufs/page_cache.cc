@@ -139,19 +139,95 @@ PageCache::pteRefDrop(sim::Warp& w, sim::Addr rca, int count,
     }
 }
 
-void
-PageCache::pteInsertLoading(sim::Warp& w, sim::Addr empty, PageKey key,
-                            uint32_t frame, int count)
+PageCache::PageSpan
+PageCache::span(PageKey key) const
 {
-    Pte ne;
-    ne.taggedKey = key + 1;
-    ne.frame = frame;
-    ne.refcount = count;
-    ne.state = static_cast<uint32_t>(PteState::Loading);
-    pt.writeEntry(w, empty, ne);
+    const hostio::FileId f = pageKeyFile(key);
+    const uint64_t off = pageKeyPageNo(key) * cfg.pageSize;
+    const size_t size = io->store().valid(f) ? io->store().size(f) : 0;
+    return {f, off,
+            off < size ? std::min<size_t>(cfg.pageSize, size - off) : 0};
+}
+
+void
+PageCache::zeroTail(sim::Addr fa, size_t len)
+{
+    if (len == cfg.pageSize)
+        return;
     if (SimCheck::armed)
+        SimCheck::get().onWrite(dev->mem().checkMemId, fa + len,
+                                cfg.pageSize - len);
+    std::memset(dev->mem().raw(fa + len, cfg.pageSize - len), 0,
+                cfg.pageSize - len);
+}
+
+bool
+PageCache::scanBucket(sim::Warp& w, uint32_t b, PageKey key, uint32_t& slot)
+{
+    w.chargeGlobalRead(
+        static_cast<double>(cfg.bucketEntries * sizeof(Pte)));
+    slot = cfg.bucketEntries;
+    for (uint32_t s = 0; s < cfg.bucketEntries; ++s) {
+        const uint64_t tk = w.mem().load<uint64_t>(pt.entryAddr(b, s));
+        if (tk == key + 1)
+            return true;
+        if (tk == 0 && slot == cfg.bucketEntries)
+            slot = s;
+    }
+    return false;
+}
+
+sim::Addr
+PageCache::insertLoading(sim::Warp& w, uint32_t b, uint32_t slot,
+                         PageKey key, uint32_t frame, int count,
+                         uint32_t flags)
+{
+    const sim::Addr ea = pt.entryAddr(b, slot);
+    Pte ne{key + 1, frame, count};
+    ne.state = static_cast<uint32_t>(PteState::Loading);
+    pt.writeEntry(w, ea, ne);
+    if (SimCheck::armed) {
         SimCheck::get().pcInsert(checkDomain, key, count,
                                  w.globalWarpId(), w.now());
+        if (flags & kSpecFlag)
+            SimCheck::get().pcSpeculate(checkDomain, key,
+                                        w.globalWarpId(), w.now());
+    }
+    w.mem().store(metaAddr(frame),
+                  FrameMeta{key + 1, pt.entryRef(b, slot), flags});
+    w.chargeGlobalWrite(sizeof(Pte) + sizeof(FrameMeta));
+    noteFrameBound(key, frame, w.now());
+    return ea;
+}
+
+bool
+PageCache::claimEntry(sim::Warp& w, sim::Addr ea, Pte& cur)
+{
+    if (w.atomicCas<int32_t>(PageTable::refcountAddr(ea), 0, -1) != 0)
+        return false;
+    SimCheck::Relaxed relaxed;
+    cur = pt.readEntry(w, ea);
+    return true;
+}
+
+void
+PageCache::unclaim(sim::Addr ea)
+{
+    const sim::Addr rca = PageTable::refcountAddr(ea);
+    SimCheck::Relaxed relaxed;
+    dev->mem().store<int32_t>(rca, 0);
+    if (SimCheck::armed)
+        SimCheck::get().syncRmw(wordChan(dev, rca));
+}
+
+void
+PageCache::removeEntry(sim::Addr ea, PageKey key, uint32_t frame, int warp,
+                       sim::Cycles now)
+{
+    dev->mem().store<Pte>(ea, Pte{});
+    if (SimCheck::armed)
+        SimCheck::get().pcRemove(checkDomain, key, warp, now);
+    dev->mem().store(metaAddr(frame), FrameMeta{});
 }
 
 AcquireResult
@@ -307,132 +383,98 @@ PageCache::acquirePage(sim::Warp& w, PageKey key, int count, bool writable,
         lk.acquire(w);
 
         // Re-probe under the lock: someone may have inserted first.
-        w.chargeGlobalRead(
-            static_cast<double>(cfg.bucketEntries * sizeof(Pte)));
-        sim::Addr empty = 0;
-        uint32_t empty_slot = 0;
-        bool lost_race = false;
-        for (uint32_t s = 0; s < cfg.bucketEntries; ++s) {
-            sim::Addr cea = pt.entryAddr(b, s);
-            uint64_t tk = w.mem().load<uint64_t>(cea);
-            if (tk == key + 1) {
-                lost_race = true;
-                break;
-            }
-            if (tk == 0 && empty == 0) {
-                empty = cea;
-                empty_slot = s;
-            }
-        }
-        if (lost_race) {
+        uint32_t slot = 0;
+        if (scanBucket(w, b, key, slot)) {
             lk.release(w);
             freeFrame(w, frame);
             continue; // take the minor-fault path
         }
 
-        // Bucket overflow: evict an idle entry from this bucket. The
-        // 16x-sized table makes this path vanishingly rare.
-        uint32_t frame_to_recycle = UINT32_MAX;
-        PageKey recycle_key = 0;
-        bool recycle_dirty = false;
-        if (empty == 0) {
+        // Bucket overflow: displace a clean idle entry from this bucket.
+        // The 16x-sized table makes this path vanishingly rare. Dirty
+        // entries are skipped: only the clock path writes a victim back
+        // while its entry is still visible (DESIGN.md section 6).
+        uint32_t displaced = UINT32_MAX;
+        if (slot == cfg.bucketEntries) {
+            // What each slot held, for the fatal message below.
+            uint32_t referenced = 0, loading = 0, dirty = 0, claimed = 0;
             for (uint32_t s = 0; s < cfg.bucketEntries; ++s) {
                 sim::Addr cea = pt.entryAddr(b, s);
                 Pte e = pt.readEntry(w, cea);
                 // Error entries are always clean and make ideal
                 // victims; Loading entries are never touched.
-                if (e.taggedKey == 0 || e.refcount != 0 ||
-                    (e.state != static_cast<uint32_t>(PteState::Ready) &&
-                     e.state != static_cast<uint32_t>(PteState::Error)))
+                if (e.refcount != 0 ||
+                    e.state == static_cast<uint32_t>(PteState::Loading)) {
+                    ++(e.refcount > 0   ? referenced
+                       : e.refcount < 0 ? claimed
+                                        : loading);
                     continue;
-                FrameMeta pre =
-                    w.mem().load<FrameMeta>(metaAddr(e.frame));
-                if (pre.flags & kDirtyFlag)
-                    continue; // dirty victims need the safe clock path
-                sim::Addr rca = PageTable::refcountAddr(cea);
-                if (w.atomicCas<int32_t>(rca, 0, -1) != 0)
+                }
+                if (w.mem().load<FrameMeta>(metaAddr(e.frame)).flags &
+                    kDirtyFlag) {
+                    ++dirty;
                     continue;
+                }
+                Pte cur;
+                if (!claimEntry(w, cea, cur)) {
+                    ++claimed;
+                    continue;
+                }
+                PageKey victim = e.taggedKey - 1;
                 if (SimCheck::armed)
-                    SimCheck::get().pcClaim(checkDomain, e.taggedKey - 1,
+                    SimCheck::get().pcClaim(checkDomain, victim,
                                             w.globalWarpId(), w.now());
                 FrameMeta fm = w.mem().load<FrameMeta>(metaAddr(e.frame));
                 if (fm.flags & kDirtyFlag) {
                     // Became dirty between the check and the claim:
                     // unclaim and leave it to the clock path.
-                    {
-                        SimCheck::Relaxed relaxed;
-                        w.mem().store<int32_t>(rca, 0);
-                    }
-                    if (SimCheck::armed) {
-                        SimCheck::get().syncRmw(wordChan(dev, rca));
-                        SimCheck::get().pcUnclaim(checkDomain,
-                                                  e.taggedKey - 1,
+                    unclaim(cea);
+                    if (SimCheck::armed)
+                        SimCheck::get().pcUnclaim(checkDomain, victim,
                                                   w.globalWarpId(),
                                                   w.now());
-                    }
                     w.chargeGlobalWrite(4);
+                    ++dirty;
                     continue;
                 }
-                recycle_key = e.taggedKey - 1;
-                recycle_dirty = false;
-                frame_to_recycle = e.frame;
                 if (fm.flags & kSpecFlag)
-                    settleSpecPage(recycle_key, false, false);
-                fm.taggedKey = 0;
-                fm.flags = 0;
-                w.mem().store(metaAddr(e.frame), fm);
-                pt.writeEntry(w, cea, Pte{});
-                if (SimCheck::armed)
-                    SimCheck::get().pcRemove(checkDomain, recycle_key,
-                                             w.globalWarpId(), w.now());
-                noteFrameUnbound(recycle_key, e.frame,
+                    settleSpecPage(victim, false, false);
+                removeEntry(cea, victim, e.frame, w.globalWarpId(), w.now());
+                noteFrameUnbound(victim, e.frame,
                                  PageEvictReason::BucketOverflow, w.now());
                 w.chargeGlobalWrite(sizeof(Pte) + sizeof(FrameMeta));
                 dev->stats().inc("gpufs.bucket_evictions");
-                empty = cea;
-                empty_slot = s;
+                displaced = e.frame;
+                slot = s;
                 break;
             }
-            if (empty == 0)
+            if (displaced == UINT32_MAX)
                 fatal("page table bucket ", b,
-                      " overflow: all entries referenced; page cache too "
-                      "small for the working set");
+                      " overflow: no clean idle entry to displace (",
+                      referenced, " referenced, ", loading, " loading, ",
+                      dirty, " idle but dirty, ", claimed,
+                      " claimed for eviction)");
         }
 
-        // Insert the Loading entry and frame back-reference.
-        pteInsertLoading(w, empty, key, frame, count);
-        FrameMeta fm;
-        fm.taggedKey = key + 1;
-        fm.entryRef = pt.entryRef(b, empty_slot);
-        fm.flags = writable ? kDirtyFlag : 0;
-        w.mem().store(metaAddr(frame), fm);
-        w.chargeGlobalWrite(sizeof(Pte) + sizeof(FrameMeta));
-        noteFrameBound(key, frame, w.now());
+        ea = insertLoading(w, b, slot, key, frame, count,
+                           writable ? kDirtyFlag : 0);
         lk.release(w);
-
-        // Writeback and recycling of an overflow victim happen outside
-        // the lock (the victim is already unreachable).
-        if (frame_to_recycle != UINT32_MAX) {
-            if (recycle_dirty)
-                writeback(w, recycle_key, frame_to_recycle);
-            freeFrame(w, frame_to_recycle);
-        }
+        // The displaced entry's frame returns to the pool outside the
+        // lock (it is already unreachable).
+        if (displaced != UINT32_MAX)
+            freeFrame(w, displaced);
 
         hostio::IoStatus fill = hostio::IoStatus::Ok;
         if (zero_fill && !swappedOut.count(key)) {
             // Anonymous first touch: a zeroed frame, no host transfer.
-            if (SimCheck::armed)
-                SimCheck::get().onWrite(dev->mem().checkMemId,
-                                        frameAddr(frame), cfg.pageSize);
-            std::memset(dev->mem().raw(frameAddr(frame), cfg.pageSize),
-                        0, cfg.pageSize);
+            zeroTail(frameAddr(frame), 0);
             w.chargeGlobalWrite(static_cast<double>(cfg.pageSize));
             dev->stats().inc("gpufs.zero_fills");
         } else {
             fill = fetchPage(w, key, frame);
         }
         if (fill != hostio::IoStatus::Ok) {
-            publishFillError(w, key, empty, frame, count);
+            publishFillError(w, key, ea, frame, count);
             dev->stats().inc("pagecache.fill_errors");
             dev->tracer().span(
                 w.globalWarpId(), "fault",
@@ -440,21 +482,8 @@ PageCache::acquirePage(sim::Warp& w, PageKey key, int count, bool writable,
                 trace_t0, w.now(), targs);
             return AcquireResult{0, 0, true, fill};
         }
-
-        // Publish Ready: a release on the state word paired with the
-        // acquire in every spinning minor faulter.
-        if (SimCheck::armed) {
-            SimCheck::get().pcReady(checkDomain, key, w.globalWarpId(),
-                                    w.now());
-            SimCheck::get().syncRelease(
-                wordChan(dev, PageTable::stateAddr(empty)));
-        }
-        {
-            SimCheck::Relaxed relaxed;
-            w.mem().store<uint32_t>(
-                PageTable::stateAddr(empty),
-                static_cast<uint32_t>(PteState::Ready));
-        }
+        publishReady(PageTable::stateAddr(ea), key, w.globalWarpId(),
+                     w.now());
         w.chargeGlobalWrite(4);
         dev->faultPath().stamp(fid, sim::FaultStage::Fill, w.now());
         dev->stats().inc("gpufs.major_faults");
@@ -502,9 +531,8 @@ PageCache::prefetchPage(sim::Warp& w, PageKey key, bool speculative)
     // Advisory: a page that cannot be read (bad file, beyond EOF) is
     // simply not prefetched — the eventual demand fault reports the
     // error to a warp that can act on it.
-    hostio::FileId f = pageKeyFile(key);
-    uint64_t off = pageKeyPageNo(key) * cfg.pageSize;
-    if (io->store().checkRange(f, off, 1) != hostio::IoStatus::Ok)
+    const PageSpan sp = span(key);
+    if (sp.len == 0)
         return PrefetchResult::BadRange;
 
     // Free-pool frames only: advisory and speculative traffic must
@@ -517,24 +545,9 @@ PageCache::prefetchPage(sim::Warp& w, PageKey key, bool speculative)
     uint32_t b = pt.bucketOf(key);
     sim::DeviceLock& lk = pt.bucketLock(b);
     lk.acquire(w);
-    w.chargeGlobalRead(
-        static_cast<double>(cfg.bucketEntries * sizeof(Pte)));
-    sim::Addr empty = 0;
-    uint32_t empty_slot = 0;
-    bool present = false;
-    for (uint32_t s = 0; s < cfg.bucketEntries; ++s) {
-        sim::Addr cea = pt.entryAddr(b, s);
-        uint64_t tk = w.mem().load<uint64_t>(cea);
-        if (tk == key + 1) {
-            present = true;
-            break;
-        }
-        if (tk == 0 && empty == 0) {
-            empty = cea;
-            empty_slot = s;
-        }
-    }
-    if (present || empty == 0) {
+    uint32_t slot = 0;
+    const bool present = scanBucket(w, b, key, slot);
+    if (present || slot == cfg.bucketEntries) {
         // Lost the race, or the bucket is full: advisory, so give up.
         lk.release(w);
         freeFrame(w, frame);
@@ -543,95 +556,45 @@ PageCache::prefetchPage(sim::Warp& w, PageKey key, bool speculative)
         dev->stats().inc("gpufs.prefetch_dropped");
         return PrefetchResult::NoEntry;
     }
-
-    Pte ne;
-    ne.taggedKey = key + 1;
-    ne.frame = frame;
-    ne.refcount = 0;
-    ne.state = static_cast<uint32_t>(PteState::Loading);
-    pt.writeEntry(w, empty, ne);
-    if (SimCheck::armed) {
-        SimCheck::get().pcInsert(checkDomain, key, 0, w.globalWarpId(),
-                                 w.now());
-        if (speculative)
-            SimCheck::get().pcSpeculate(checkDomain, key,
-                                        w.globalWarpId(), w.now());
-    }
-    FrameMeta fm;
-    fm.taggedKey = key + 1;
-    fm.entryRef = pt.entryRef(b, empty_slot);
-    fm.flags = speculative ? kSpecFlag : 0;
-    w.mem().store(metaAddr(frame), fm);
-    w.chargeGlobalWrite(sizeof(Pte) + sizeof(FrameMeta));
     // Speculative fills are charged to the tenant they guess for: a
     // tenant's readahead appetite spends its own share, not the pool's.
-    noteFrameBound(key, frame, w.now());
+    const sim::Addr state_addr = PageTable::stateAddr(insertLoading(
+        w, b, slot, key, frame, 0, speculative ? kSpecFlag : 0));
     lk.release(w);
 
-    size_t len = std::min<size_t>(cfg.pageSize, io->store().size(f) - off);
-    sim::Addr fa = frameAddr(frame);
-    size_t page_size = cfg.pageSize;
-    sim::Device* d = dev;
-    sim::Addr state_addr = PageTable::stateAddr(empty);
-    uint64_t dom = checkDomain;
+    const sim::Addr fa = frameAddr(frame);
     // Speculative/advisory fills get their own fault record on the
     // prefetch track: the chain runs begin → enqueue/transfer stamps
     // (via the request's captured fid) → fill at Ready publication.
-    const uint64_t pfid = d->faultPath().begin(
-        kPrefetchTrack, static_cast<int64_t>(f), pageKeyPageNo(key),
+    const uint64_t pfid = dev->faultPath().begin(
+        kPrefetchTrack, static_cast<int64_t>(sp.file), pageKeyPageNo(key),
         w.now());
     std::function<void(hostio::IoStatus)> on_done =
-        [this, d, fa, len, page_size, state_addr, dom, key,
-         speculative, pfid](hostio::IoStatus st) {
+        [this, fa, len = sp.len, state_addr, key, speculative,
+         pfid](hostio::IoStatus st) {
+            const sim::Cycles now = dev->engine().now();
             if (st != hostio::IoStatus::Ok) {
                 // Failed prefetch: poison the zero-reference entry so
                 // later acquirers reclaim it and re-fault, instead of
                 // spinning forever on a Loading entry whose fill will
                 // never arrive. The frame stays attached until the
                 // reclaim frees it — no pinned-frame leak.
-                if (SimCheck::armed) {
-                    SimCheck::get().pcFillError(dom, key, -1,
-                                                d->engine().now());
-                    SimCheck::get().syncRelease(wordChan(d, state_addr));
-                }
-                {
-                    SimCheck::Relaxed relaxed;
-                    d->mem().store<uint32_t>(
-                        state_addr,
-                        static_cast<uint32_t>(PteState::Error));
-                }
-                d->stats().inc("pagecache.fill_errors");
+                publishError(state_addr, key, -1, now);
+                dev->stats().inc("pagecache.fill_errors");
                 // Thrash feedback: a poisoned speculative fill means
                 // the window outran what the backing store can serve.
                 if (speculative && specObs)
                     specObs->onSpecFillError(key);
-                d->faultPath().end(pfid, sim::FaultKind::Error,
-                                   d->engine().now());
+                dev->faultPath().end(pfid, sim::FaultKind::Error, now);
                 return;
             }
-            if (len < page_size) {
-                if (SimCheck::armed)
-                    SimCheck::get().onWrite(d->mem().checkMemId, fa + len,
-                                            page_size - len);
-                std::memset(d->mem().raw(fa + len, page_size - len), 0,
-                            page_size - len);
-            }
-            // Host-side Ready publication: release the state word so
-            // faulting warps that acquire it see the DMA'd bytes.
-            if (SimCheck::armed) {
-                SimCheck::get().pcReady(dom, key, -1, d->engine().now());
-                SimCheck::get().syncRelease(wordChan(d, state_addr));
-            }
-            {
-                SimCheck::Relaxed relaxed;
-                d->mem().store<uint32_t>(
-                    state_addr, static_cast<uint32_t>(PteState::Ready));
-            }
-            d->stats().inc("gpufs.prefetched_pages");
-            d->faultPath().stamp(pfid, sim::FaultStage::Fill,
-                                 d->engine().now());
-            d->faultPath().end(pfid, sim::FaultKind::SpecFill,
-                               d->engine().now());
+            zeroTail(fa, len);
+            // Host-side Ready publication: faulting warps that acquire
+            // the state word see the DMA'd bytes.
+            publishReady(state_addr, key, -1, now);
+            dev->stats().inc("gpufs.prefetched_pages");
+            dev->faultPath().stamp(pfid, sim::FaultStage::Fill, now);
+            dev->faultPath().end(pfid, sim::FaultKind::SpecFill, now);
         };
     // Speculative fills ride the low-priority DMA lane: within a
     // batch window, demand transfers dispatch first. The async request
@@ -639,8 +602,8 @@ PageCache::prefetchPage(sim::Warp& w, PageKey key, bool speculative)
     // calling warp is amid), so transfer stamps land on this record.
     const uint64_t saved_fid = w.activeFault();
     w.setActiveFault(pfid);
-    hostio::IoStatus sync =
-        io->readToGpuAsync(w, f, off, len, fa, on_done, speculative);
+    hostio::IoStatus sync = io->readToGpuAsync(w, sp.file, sp.off, sp.len,
+                                               fa, on_done, speculative);
     w.setActiveFault(saved_fid);
     if (sync != hostio::IoStatus::Ok)
         on_done(sync); // range re-validation failed; unreachable today
@@ -718,8 +681,6 @@ PageCache::allocFrame(sim::Warp& w)
         uint32_t frame;
         PageKey key;
         sim::Addr ea;
-        uint64_t taggedKey;
-        uint32_t entryRef;
         bool dirty;
         bool spec;  ///< undemanded speculative fill at claim time
         bool error; ///< poisoned (Error-state) entry at claim time
@@ -792,24 +753,14 @@ PageCache::allocFrame(sim::Warp& w)
         if (have_primary && ((fm.flags & kDirtyFlag) != 0 ||
                              tries >= 6ULL * cfg.numFrames))
             continue;
-        sim::Addr rca = PageTable::refcountAddr(ea);
-        if (w.atomicCas<int32_t>(rca, 0, -1) != 0)
+        Pte cur;
+        if (!claimEntry(w, ea, cur))
             continue;
         // ABA re-check: the slot may have been recycled for another
         // page while the CAS was in flight (the claim then pinned the
-        // wrong entry). Nobody else can touch a claimed entry, so this
-        // re-read is stable; undo and keep sweeping on mismatch.
-        bool stale;
-        {
-            SimCheck::Relaxed relaxed;
-            Pte cur = pt.readEntry(w, ea);
-            stale = cur.taggedKey != fm.taggedKey || cur.frame != f;
-            if (stale)
-                w.mem().store<int32_t>(rca, 0);
-        }
-        if (stale) {
-            if (SimCheck::armed)
-                SimCheck::get().syncRmw(wordChan(dev, rca));
+        // wrong entry); undo and keep sweeping on mismatch.
+        if (cur.taggedKey != fm.taggedKey || cur.frame != f) {
+            unclaim(ea);
             continue;
         }
         if (SimCheck::armed)
@@ -817,16 +768,10 @@ PageCache::allocFrame(sim::Warp& w)
                                     w.globalWarpId(), w.now());
 
         PageKey victim_key = e.taggedKey - 1;
-        bool dirty = (fm.flags & kDirtyFlag) != 0;
         // A still-tagged victim was never demanded: thrash feedback.
         if (fm.flags & kSpecFlag)
             settleSpecPage(victim_key, false, false);
-        Claimed c{f,
-                  victim_key,
-                  ea,
-                  fm.taggedKey,
-                  fm.entryRef,
-                  dirty,
+        Claimed c{f, victim_key, ea, (fm.flags & kDirtyFlag) != 0,
                   (fm.flags & kSpecFlag) != 0,
                   e.state == static_cast<uint32_t>(PteState::Error)};
         if (!have_primary) {
@@ -852,18 +797,9 @@ PageCache::allocFrame(sim::Warp& w)
     auto scrubVictim = [&](const Claimed& c, bool reserve_extra) {
         if (c.dirty)
             writeback(w, c.key, c.frame);
-        uint32_t vb = c.entryRef / cfg.bucketEntries;
-        sim::DeviceLock& vlk = pt.bucketLock(vb);
+        sim::DeviceLock& vlk = pt.bucketLock(pt.bucketOf(c.key));
         vlk.acquire(w);
-        pt.writeEntry(w, c.ea, Pte{});
-        if (SimCheck::armed)
-            SimCheck::get().pcRemove(checkDomain, c.key,
-                                     w.globalWarpId(), w.now());
-        FrameMeta fm;
-        fm.taggedKey = 0;
-        fm.entryRef = c.entryRef;
-        fm.flags = 0;
-        w.mem().store(metaAddr(c.frame), fm);
+        removeEntry(c.ea, c.key, c.frame, w.globalWarpId(), w.now());
         w.chargeGlobalWrite(sizeof(Pte) + sizeof(FrameMeta));
         // Telemetry classification, most specific condition first: a
         // poisoned entry over a speculative tag over the QoS reserve
@@ -908,20 +844,18 @@ void
 PageCache::writeback(sim::Warp& w, PageKey key, uint32_t frame)
 {
     swappedOut.insert(key);
-    hostio::FileId f = pageKeyFile(key);
-    uint64_t off = pageKeyPageNo(key) * cfg.pageSize;
-    size_t len = std::min<size_t>(cfg.pageSize,
-                                  io->store().size(f) - off);
+    const PageSpan sp = span(key);
     if (hooks.preWriteback)
-        hooks.preWriteback(&w, key, frameAddr(frame), len);
-    hostio::IoStatus st = io->writeFromGpu(w, f, off, len, frameAddr(frame));
+        hooks.preWriteback(&w, key, frameAddr(frame), sp.len);
+    hostio::IoStatus st =
+        io->writeFromGpu(w, sp.file, sp.off, sp.len, frameAddr(frame));
     if (st != hostio::IoStatus::Ok) {
         // The frame still holds the data (no poisoning), but the
         // backing store is now stale. Count it; the victim is being
         // recycled, so the dirty contents are lost to the store.
         dev->stats().inc("pagecache.writeback_errors");
-        warn("writeback of page ", pageKeyPageNo(key), " in file ", f,
-             " failed terminally: ", hostio::ioStatusName(st));
+        warn("writeback of page ", pageKeyPageNo(key), " in file ",
+             sp.file, " failed terminally: ", hostio::ioStatusName(st));
     }
     dev->stats().inc("gpufs.writebacks");
 }
@@ -929,19 +863,16 @@ PageCache::writeback(sim::Warp& w, PageKey key, uint32_t frame)
 hostio::IoStatus
 PageCache::fetchPage(sim::Warp& w, PageKey key, uint32_t frame)
 {
-    hostio::FileId f = pageKeyFile(key);
-    uint64_t off = pageKeyPageNo(key) * cfg.pageSize;
-    if (!io->store().valid(f))
+    const PageSpan sp = span(key);
+    if (!io->store().valid(sp.file))
         return hostio::IoStatus::BadFile;
-    if (off >= io->store().size(f))
+    if (sp.len == 0)
         return hostio::IoStatus::Eof; // page wholly beyond EOF
-    size_t len =
-        std::min<size_t>(cfg.pageSize, io->store().size(f) - off);
 
     uint32_t slot = grabStagingSlot(w);
     sim::Addr sa =
         stagingBase + static_cast<sim::Addr>(slot) * cfg.pageSize;
-    hostio::IoStatus st = io->readToGpu(w, f, off, len, sa);
+    hostio::IoStatus st = io->readToGpu(w, sp.file, sp.off, sp.len, sa);
     if (st != hostio::IoStatus::Ok) {
         releaseStagingSlot(w, slot);
         return st;
@@ -949,19 +880,11 @@ PageCache::fetchPage(sim::Warp& w, PageKey key, uint32_t frame)
     // The requesting warp copies from staging into the frame (paper
     // section V: "GPU threads that invoke the file read are responsible
     // for moving the contents from the staging area").
-    w.copyGlobal(frameAddr(frame), sa, len);
-    if (len < cfg.pageSize) {
-        if (SimCheck::armed)
-            SimCheck::get().onWrite(dev->mem().checkMemId,
-                                    frameAddr(frame) + len,
-                                    cfg.pageSize - len);
-        std::memset(dev->mem().raw(frameAddr(frame) + len,
-                                   cfg.pageSize - len),
-                    0, cfg.pageSize - len);
-    }
+    w.copyGlobal(frameAddr(frame), sa, sp.len);
+    zeroTail(frameAddr(frame), sp.len);
     releaseStagingSlot(w, slot);
     if (hooks.postFetch)
-        hooks.postFetch(w, key, frameAddr(frame), len);
+        hooks.postFetch(w, key, frameAddr(frame), sp.len);
     return hostio::IoStatus::Ok;
 }
 
@@ -979,19 +902,9 @@ PageCache::publishFillError(sim::Warp& w, PageKey key, sim::Addr ea,
         w.mem().store(metaAddr(frame), fm);
     }
     w.chargeGlobalWrite(sizeof(FrameMeta));
-    // Publish Error with a release on the state word: spinning minor
-    // faulters acquire it and observe the cleared dirty bit.
-    if (SimCheck::armed) {
-        SimCheck::get().pcFillError(checkDomain, key, w.globalWarpId(),
-                                    w.now());
-        SimCheck::get().syncRelease(
-            wordChan(dev, PageTable::stateAddr(ea)));
-    }
-    {
-        SimCheck::Relaxed relaxed;
-        w.mem().store<uint32_t>(PageTable::stateAddr(ea),
-                                static_cast<uint32_t>(PteState::Error));
-    }
+    // Spinning minor faulters acquire the Error state and observe the
+    // cleared dirty bit.
+    publishError(PageTable::stateAddr(ea), key, w.globalWarpId(), w.now());
     w.chargeGlobalWrite(4);
     // Drop our own references last: a claim (refcount 0 -> -1) is only
     // legal from Ready or Error, so the entry cannot be reclaimed out
@@ -1003,46 +916,60 @@ PageCache::publishFillError(sim::Warp& w, PageKey key, sim::Addr ea,
                                     w.globalWarpId(), w.now());
 }
 
+void
+PageCache::publishError(sim::Addr state_addr, PageKey key, int warp,
+                        sim::Cycles now)
+{
+    if (SimCheck::armed) {
+        SimCheck::get().pcFillError(checkDomain, key, warp, now);
+        SimCheck::get().syncRelease(wordChan(dev, state_addr));
+    }
+    {
+        SimCheck::Relaxed relaxed;
+        dev->mem().store<uint32_t>(state_addr,
+                                   static_cast<uint32_t>(PteState::Error));
+    }
+}
+
+void
+PageCache::publishReady(sim::Addr state_addr, PageKey key, int warp,
+                        sim::Cycles now)
+{
+    if (SimCheck::armed) {
+        SimCheck::get().pcReady(checkDomain, key, warp, now);
+        SimCheck::get().syncRelease(wordChan(dev, state_addr));
+    }
+    {
+        SimCheck::Relaxed relaxed;
+        dev->mem().store<uint32_t>(state_addr,
+                                   static_cast<uint32_t>(PteState::Ready));
+    }
+}
+
 bool
 PageCache::reclaimErrorEntry(sim::Warp& w, PageKey key, sim::Addr ea)
 {
-    sim::Addr rca = PageTable::refcountAddr(ea);
-    if (w.atomicCas<int32_t>(rca, 0, -1) != 0)
+    Pte cur;
+    if (!claimEntry(w, ea, cur))
         return false; // waiters still draining, or another claim won
     // ABA re-check under the claim (cf. the clock sweep): the slot may
     // have been recycled for another page while the CAS was in flight.
-    bool stale;
-    uint32_t frame = 0;
-    {
-        SimCheck::Relaxed relaxed;
-        Pte cur = pt.readEntry(w, ea);
-        stale = cur.taggedKey != key + 1 ||
-                cur.state != static_cast<uint32_t>(PteState::Error);
-        frame = cur.frame;
-        if (stale)
-            w.mem().store<int32_t>(rca, 0);
-    }
-    if (stale) {
-        if (SimCheck::armed)
-            SimCheck::get().syncRmw(wordChan(dev, rca));
+    if (cur.taggedKey != key + 1 ||
+        cur.state != static_cast<uint32_t>(PteState::Error)) {
+        unclaim(ea);
         return false;
     }
     if (SimCheck::armed)
         SimCheck::get().pcClaim(checkDomain, key, w.globalWarpId(),
                                 w.now());
-    uint32_t b = pt.bucketOf(key);
-    sim::DeviceLock& lk = pt.bucketLock(b);
+    sim::DeviceLock& lk = pt.bucketLock(pt.bucketOf(key));
     lk.acquire(w);
-    pt.writeEntry(w, ea, Pte{});
-    if (SimCheck::armed)
-        SimCheck::get().pcRemove(checkDomain, key, w.globalWarpId(),
-                                 w.now());
-    w.mem().store(metaAddr(frame), FrameMeta{});
+    removeEntry(ea, key, cur.frame, w.globalWarpId(), w.now());
     w.chargeGlobalWrite(sizeof(Pte) + sizeof(FrameMeta));
-    noteFrameUnbound(key, frame, PageEvictReason::PoisonedReclaim,
+    noteFrameUnbound(key, cur.frame, PageEvictReason::PoisonedReclaim,
                      w.now());
     lk.release(w);
-    freeFrame(w, frame);
+    freeFrame(w, cur.frame);
     dev->stats().inc("pagecache.poisoned_reclaims");
     return true;
 }
@@ -1088,25 +1015,26 @@ PageCache::releaseStagingSlot(sim::Warp& w, uint32_t slot)
 }
 
 void
+PageCache::writebackHost(PageKey key, uint32_t frame)
+{
+    const PageSpan sp = span(key);
+    const sim::Addr fa = frameAddr(frame);
+    if (hooks.preWriteback)
+        hooks.preWriteback(nullptr, key, fa, sp.len);
+    if (SimCheck::armed)
+        SimCheck::get().onRead(dev->mem().checkMemId, fa, sp.len);
+    io->store().pwrite(sp.file, dev->mem().raw(fa, sp.len), sp.len, sp.off);
+    swappedOut.insert(key);
+}
+
+void
 PageCache::flushDirtyHost()
 {
     for (uint32_t f = 0; f < cfg.numFrames; ++f) {
         FrameMeta fm = dev->mem().load<FrameMeta>(metaAddr(f));
         if (fm.taggedKey == 0 || !(fm.flags & kDirtyFlag))
             continue;
-        PageKey key = fm.taggedKey - 1;
-        hostio::FileId file = pageKeyFile(key);
-        uint64_t off = pageKeyPageNo(key) * cfg.pageSize;
-        size_t len =
-            std::min<size_t>(cfg.pageSize, io->store().size(file) - off);
-        if (hooks.preWriteback)
-            hooks.preWriteback(nullptr, key, frameAddr(f), len);
-        if (SimCheck::armed)
-            SimCheck::get().onRead(dev->mem().checkMemId, frameAddr(f),
-                                   len);
-        io->store().pwrite(file, dev->mem().raw(frameAddr(f), len), len,
-                           off);
-        swappedOut.insert(key);
+        writebackHost(fm.taggedKey - 1, f);
         fm.flags &= ~kDirtyFlag;
         dev->mem().store(metaAddr(f), fm);
     }
@@ -1115,21 +1043,29 @@ PageCache::flushDirtyHost()
 tenant::TenantStatus
 PageCache::teardownTenantHost(tenant::TenantId asid)
 {
+    // The check both passes share: frame f holds one of the tenant's
+    // pages (meta in fm), and that page's entry (e) still points back
+    // at f. Returns the entry's address, or 0.
+    FrameMeta fm;
+    Pte e;
+    auto tenantEntry = [&](uint32_t f) -> sim::Addr {
+        fm = dev->mem().load<FrameMeta>(metaAddr(f));
+        if (fm.taggedKey == 0 || pageKeyAsid(fm.taggedKey - 1) != asid)
+            return 0;
+        const sim::Addr ea = pt.entryAddrOf(fm.entryRef);
+        e = dev->mem().load<Pte>(ea);
+        return e.taggedKey == fm.taggedKey && e.frame == f ? ea : 0;
+    };
+
     // Pass 1: refuse while any of the tenant's pages is referenced or
     // still loading — teardown must not yank a frame out from under a
     // linked apointer or an in-flight DMA. No state is mutated before
     // this pass completes, so a Busy return leaves the cache intact.
-    for (uint32_t f = 0; f < cfg.numFrames; ++f) {
-        FrameMeta fm = dev->mem().load<FrameMeta>(metaAddr(f));
-        if (fm.taggedKey == 0 || pageKeyAsid(fm.taggedKey - 1) != asid)
-            continue;
-        Pte e = dev->mem().load<Pte>(pt.entryAddrOf(fm.entryRef));
-        if (e.taggedKey != fm.taggedKey || e.frame != f)
-            continue; // stale back-reference; not this page anymore
-        if (e.refcount != 0 ||
-            e.state == static_cast<uint32_t>(PteState::Loading))
+    for (uint32_t f = 0; f < cfg.numFrames; ++f)
+        if (tenantEntry(f) != 0 &&
+            (e.refcount != 0 ||
+             e.state == static_cast<uint32_t>(PteState::Loading)))
             return tenant::TenantStatus::Busy;
-    }
 
     // Pass 2: scrub. Dirty pages write back (their file outlives the
     // address space), entries and frames are reclaimed, the registry
@@ -1137,43 +1073,22 @@ PageCache::teardownTenantHost(tenant::TenantId asid)
     // these keys afterwards.
     uint64_t scrubbed = 0;
     for (uint32_t f = 0; f < cfg.numFrames; ++f) {
-        FrameMeta fm = dev->mem().load<FrameMeta>(metaAddr(f));
-        if (fm.taggedKey == 0)
+        const sim::Addr ea = tenantEntry(f);
+        if (ea == 0)
             continue;
-        PageKey key = fm.taggedKey - 1;
-        if (pageKeyAsid(key) != asid)
-            continue;
-        sim::Addr ea = pt.entryAddrOf(fm.entryRef);
-        Pte e = dev->mem().load<Pte>(ea);
-        if (e.taggedKey != fm.taggedKey || e.frame != f)
-            continue;
-        if (fm.flags & kDirtyFlag) {
-            hostio::FileId file = pageKeyFile(key);
-            uint64_t off = pageKeyPageNo(key) * cfg.pageSize;
-            size_t len = std::min<size_t>(cfg.pageSize,
-                                          io->store().size(file) - off);
-            if (hooks.preWriteback)
-                hooks.preWriteback(nullptr, key, frameAddr(f), len);
-            if (SimCheck::armed)
-                SimCheck::get().onRead(dev->mem().checkMemId,
-                                       frameAddr(f), len);
-            io->store().pwrite(file, dev->mem().raw(frameAddr(f), len),
-                               len, off);
-        }
+        const PageKey key = fm.taggedKey - 1;
+        if (fm.flags & kDirtyFlag)
+            writebackHost(key, f);
         // An undemanded speculative page dies here: thrash feedback,
         // same as an unused eviction.
         if (fm.flags & kSpecFlag)
             settleSpecPage(key, false, false);
-        if (SimCheck::armed) {
-            // The shadow walks Ready/Error -> Claimed -> Absent like a
-            // normal eviction; warp -1 marks the host actor.
+        // The shadow walks Ready/Error -> Claimed -> Absent like a
+        // normal eviction; warp -1 marks the host actor.
+        if (SimCheck::armed)
             SimCheck::get().pcClaim(checkDomain, key, -1,
                                     dev->engine().now());
-            SimCheck::get().pcRemove(checkDomain, key, -1,
-                                     dev->engine().now());
-        }
-        dev->mem().store<Pte>(ea, Pte{});
-        dev->mem().store(metaAddr(f), FrameMeta{});
+        removeEntry(ea, key, f, -1, dev->engine().now());
         freeFrames.push_back(f);
         noteFrameUnbound(key, f, PageEvictReason::Teardown,
                          dev->engine().now());
@@ -1182,12 +1097,8 @@ PageCache::teardownTenantHost(tenant::TenantId asid)
 
     // Swap residue: a torn-down tenant's zero-fill history must not
     // leak map entries forever (its ASID is never reused).
-    for (auto it = swappedOut.begin(); it != swappedOut.end();) {
-        if (pageKeyAsid(*it) == asid)
-            it = swappedOut.erase(it);
-        else
-            ++it;
-    }
+    std::erase_if(swappedOut,
+                  [asid](PageKey k) { return pageKeyAsid(k) == asid; });
     dev->stats().inc("tenant.teardown_scrubbed", scrubbed);
 
     // Residual audit: an armed checker reports any page of this ASID

@@ -335,11 +335,29 @@ class PageCache
      */
     void settleSpecPage(PageKey key, bool hit, bool late);
 
-    /** Return a frame to the free pool (lost insertion race). */
+    /** Return a frame to the free pool (lost insertion race, or the
+     * frame of a displaced or reclaimed entry). */
     void freeFrame(sim::Warp& w, uint32_t frame) AP_ACQUIRES("pc.alloc");
 
     /** Write a dirty frame's bytes back to its file. */
     void writeback(sim::Warp& w, PageKey key, uint32_t frame) AP_YIELDS;
+
+    /** Host-side writeback (null-warp preWriteback hook, functional
+     * copy, swap record); no simulated time. */
+    void writebackHost(PageKey key, uint32_t frame);
+
+    /** A page's bytes in its file: len is short for the last page and
+     * 0 for a bad file or a page wholly beyond EOF. */
+    struct PageSpan
+    {
+        hostio::FileId file;
+        uint64_t off;
+        size_t len;
+    };
+    PageSpan span(PageKey key) const;
+
+    /** Zero the frame at @p fa past @p len (functional, uncharged). */
+    void zeroTail(sim::Addr fa, size_t len) AP_NO_YIELD;
 
     /**
      * Fetch page data from the host into @p frame via staging.
@@ -393,16 +411,48 @@ class PageCache
                     const char* why)
         AP_NO_YIELD AP_RELEASES_REF("pc.page");
 
-    /**
-     * Publish a fresh Loading entry at bucket slot @p empty holding
-     * @p count references on behalf of the inserting warp (the
-     * major-fault path; the advisory path inserts at refcount 0
-     * inline).
-     */
-    void pteInsertLoading(sim::Warp& w, sim::Addr empty, PageKey key,
-                          uint32_t frame, int count)
+    // ---- The page-entry lifecycle -----------------------------------
+    // One helper per step, shared by every path (major fault, prefetch,
+    // clock sweep, bucket overflow, poisoned reclaim, teardown): insert
+    // Loading under the bucket lock, publish Ready or Error with a
+    // release on the state word, claim at refcount 0 -> -1, remove.
+    // Callers keep their own charges, locks and ABA tests.
+
+    /** Scan locked bucket @p b (one charged read): true iff @p key is
+     * present; else @p slot is the first empty slot or bucketEntries. */
+    bool scanBucket(sim::Warp& w, uint32_t b, PageKey key, uint32_t& slot)
+        AP_NO_YIELD;
+
+    /** Insert @p key Loading at (@p b, @p slot) holding @p count refs
+     * (0 for a prefetch) and bind @p frame with FrameMeta @p flags;
+     * one charged write. @return the entry's address */
+    sim::Addr insertLoading(sim::Warp& w, uint32_t b, uint32_t slot,
+                            PageKey key, uint32_t frame, int count,
+                            uint32_t flags)
         AP_NO_YIELD AP_ACQUIRES_REF("pc.page")
         AP_TRANSITIONS("Absent->Loading");
+
+    /** Publish a fill as failed or complete: simcheck commit, release
+     * on @p state_addr, relaxed store. @p warp is -1 host-side; warp
+     * callers charge the 4 B store. */
+    void publishError(sim::Addr state_addr, PageKey key, int warp,
+                      sim::Cycles now)
+        AP_NO_YIELD AP_TRANSITIONS("Loading->Error");
+    void publishReady(sim::Addr state_addr, PageKey key, int warp,
+                      sim::Cycles now)
+        AP_NO_YIELD AP_TRANSITIONS("Loading->Ready");
+
+    /** CAS @p ea's refcount 0 -> -1; on success @p cur is a relaxed
+     * re-read for the caller's ABA test (a claimed entry is stable). */
+    bool claimEntry(sim::Warp& w, sim::Addr ea, Pte& cur) AP_NO_YIELD;
+
+    /** Undo a claim: relaxed store of refcount 0 (uncharged). */
+    void unclaim(sim::Addr ea) AP_NO_YIELD;
+
+    /** Clear the claimed entry at @p ea and @p frame's FrameMeta
+     * (uncharged). @p warp is -1 for host teardown. */
+    void removeEntry(sim::Addr ea, PageKey key, uint32_t frame, int warp,
+                     sim::Cycles now) AP_NO_YIELD;
 
     sim::Addr metaAddr(uint32_t frame) const
     {

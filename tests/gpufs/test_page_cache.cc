@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "gpufs/page_cache.hh"
+#include "gpufs/gpufs.hh"
 
 namespace ap::gpufs {
 namespace {
@@ -242,6 +242,33 @@ TEST(PageCacheDeath, AllPagesPinnedIsFatal)
                                             false);
                                 }),
                  "pinned|thrashing");
+}
+
+TEST(PageCacheDeath, BucketOfDirtyIdleEntriesNamesWhatItFound)
+{
+    // One entry per frame in buckets of 4: once every resident page is
+    // dirty, a new page's full bucket holds only idle dirty entries,
+    // which the overflow path must not displace. The abort says so
+    // instead of blaming references nobody holds.
+    Config cfg;
+    cfg.numFrames = 32;
+    cfg.entriesPerFrame = 1;
+    cfg.bucketEntries = 4;
+    hostio::BackingStore bs;
+    sim::Device dev(sim::CostModel{}, 64 << 20);
+    hostio::HostIoEngine io(dev, bs);
+    GpuFs fs(dev, io, cfg);
+    hostio::FileId f = bs.create("dirty", 64 * 4096);
+    const sim::Addr src = dev.mem().alloc(64);
+    EXPECT_DEATH(dev.launch(1, 1,
+                            [&](sim::Warp& w) {
+                                for (uint64_t p = 0; p < 64; ++p)
+                                    EXPECT_EQ(fs.gwrite(w, f, p * 4096, 8,
+                                                        src),
+                                              hostio::IoStatus::Ok);
+                            }),
+                 "overflow: no clean idle entry to displace \\(0 "
+                 "referenced, 0 loading, 4 idle but dirty");
 }
 
 } // namespace

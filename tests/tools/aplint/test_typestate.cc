@@ -4,10 +4,11 @@
  * interval lattice (branch join, loop widening, the conditional
  * acquire / bound-result / raw-CAS idioms), interprocedural effect
  * summaries with witness chains, the SARIF output mode, the parse
- * cache, and two mutation checks against the real
+ * cache, and three mutation checks against the real
  * src/gpufs/page_cache.cc — deleting the staging release on
  * fetchPage's error path must make ref-balance fire, and deleting
- * publishFillError's Error publication must make state-edge fire.
+ * publishError's Error or publishReady's Ready publication must make
+ * state-edge fire.
  * The strict self-host scan doubles as the "found nothing, and must
  * keep finding nothing" gate with a wall-time budget.
  */
@@ -313,6 +314,29 @@ TEST(Typestate, MutationDroppingStagingReleaseFiresRefBalance)
     EXPECT_GE(lintPageCache(hh, mutated, "ref-balance"), 1u);
 }
 
+/**
+ * @p cc with the braced block around the first @p literal after @p fn
+ * erased, or empty if either is missing.
+ */
+std::string
+dropBlock(const std::string& cc, const std::string& fn,
+          const std::string& literal)
+{
+    size_t at = cc.find(fn);
+    if (at == std::string::npos)
+        return "";
+    size_t lit = cc.find(literal, at);
+    if (lit == std::string::npos)
+        return "";
+    size_t open = cc.rfind('{', lit);
+    size_t close = cc.find('}', lit);
+    if (open == std::string::npos || close == std::string::npos)
+        return "";
+    std::string mutated = cc;
+    mutated.erase(open, close - open + 1);
+    return mutated;
+}
+
 TEST(Typestate, MutationDroppingErrorPublicationFiresStateEdge)
 {
     std::string hh = readSource("src/gpufs/page_cache.hh");
@@ -322,19 +346,26 @@ TEST(Typestate, MutationDroppingErrorPublicationFiresStateEdge)
 
     EXPECT_EQ(lintPageCache(hh, cc, "state-edge"), 0u);
 
-    // Delete the block that stores PteState::Error in
-    // publishFillError — its declared Loading->Error edge is now
-    // unwitnessed.
-    size_t fn = cc.find("PageCache::publishFillError");
-    ASSERT_NE(fn, std::string::npos);
-    size_t err = cc.find("static_cast<uint32_t>(PteState::Error)", fn);
-    ASSERT_NE(err, std::string::npos);
-    size_t open = cc.rfind('{', err);
-    size_t close = cc.find('}', err);
-    ASSERT_NE(open, std::string::npos);
-    ASSERT_NE(close, std::string::npos);
-    std::string mutated = cc;
-    mutated.erase(open, close - open + 1);
+    // Delete the block that stores PteState::Error in publishError —
+    // its declared Loading->Error edge is now unwitnessed.
+    std::string mutated = dropBlock(cc, "PageCache::publishError",
+                                    "static_cast<uint32_t>(PteState::Error)");
+    ASSERT_FALSE(mutated.empty());
+    EXPECT_GE(lintPageCache(hh, mutated, "state-edge"), 1u);
+}
+
+TEST(Typestate, MutationDroppingReadyPublicationFiresStateEdge)
+{
+    std::string hh = readSource("src/gpufs/page_cache.hh");
+    std::string cc = readSource("src/gpufs/page_cache.cc");
+    ASSERT_FALSE(hh.empty());
+    ASSERT_FALSE(cc.empty());
+
+    // The twin: without publishReady's store its declared
+    // Loading->Ready edge is unwitnessed.
+    std::string mutated = dropBlock(cc, "PageCache::publishReady",
+                                    "static_cast<uint32_t>(PteState::Ready)");
+    ASSERT_FALSE(mutated.empty());
     EXPECT_GE(lintPageCache(hh, mutated, "state-edge"), 1u);
 }
 
