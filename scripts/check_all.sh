@@ -26,7 +26,7 @@
 # `serving`: arrivals, admission control, validation, JSON byte
 # determinism), the multi-tenant QoS tests (ctest label `tenant`:
 # ASID registry, DRR host-IO split, eviction isolation + reclaim
-# reserve, TLB shootdown, tenant auditor), and the analyzer's own
+# reserve, tenant teardown, tenant auditor), and the analyzer's own
 # suite (ctest label `lint`: the
 # two self-host scans plus lexer/parser/rule/call-graph/dataflow
 # units) run inside every tier-1 row; the explicit `--no-tests=error`

@@ -494,11 +494,9 @@ class AptrVec
 
             // Open the fault record for this subgroup; downstream
             // layers stamp their stages against the warp's active id.
-            sim::FaultPath* fpx = w.faultPath();
+            sim::FaultPath& fp = w.faultPath();
             const uint64_t fault_id =
-                fpx ? fpx->begin(w.globalWarpId(), file, lead_xpage,
-                                 agg_t0)
-                    : 0;
+                fp.begin(w.globalWarpId(), file, lead_xpage, agg_t0);
             w.setActiveFault(fault_id);
 
             if (isDirect()) {
@@ -515,8 +513,7 @@ class AptrVec
                     refViaTlb[l] = 0;
                 }
                 w.stats().inc("core.pages_linked");
-                if (fpx)
-                    fpx->end(fault_id, sim::FaultKind::Minor, w.now());
+                fp.end(fault_id, sim::FaultKind::Minor, w.now());
                 w.setActiveFault(0);
                 continue;
             }
@@ -551,8 +548,7 @@ class AptrVec
                 if (status_ == hostio::IoStatus::Ok)
                     status_ = ast;
                 w.stats().inc("core.fault_errors");
-                if (fpx)
-                    fpx->end(fault_id, sim::FaultKind::Error, w.now());
+                fp.end(fault_id, sim::FaultKind::Error, w.now());
                 w.setActiveFault(0);
                 continue;
             }
@@ -571,17 +567,16 @@ class AptrVec
             if (sim::check::SimCheck::armed)
                 sim::check::SimCheck::get().pcLink(cache.checkDomain, key,
                                                    count, w.globalWarpId(),
-                                                   w.now());
+                                                   w.now(), w.tenant());
             w.stats().inc("core.pages_linked");
             // Close the record before notifying the prefetcher: the
             // speculative fills it kicks off open their own records
             // and must not inherit this demand fault's id.
-            if (fpx)
-                fpx->end(fault_id,
-                         major_fault ? sim::FaultKind::Major
-                         : spec_hit ? sim::FaultKind::SpecHit
-                                    : sim::FaultKind::Minor,
-                         w.now());
+            fp.end(fault_id,
+                   major_fault ? sim::FaultKind::Major
+                   : spec_hit ? sim::FaultKind::SpecHit
+                              : sim::FaultKind::Minor,
+                   w.now());
             w.setActiveFault(0);
             // Feed the serviced fault to the readahead engine (leader
             // context: we just elected and acted as the leader). Both

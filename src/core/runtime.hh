@@ -105,9 +105,8 @@ class GvmRuntime
      * (kernel finished or all its apointers destroyed).
      *
      *  1. assert no TLB still caches one of the tenant's translations
-     *     (quiesced tenants drain their counts; a survivor here means
-     *     a reference leak, the exact bug the shootdown API exists
-     *     to catch),
+     *     (quiesced tenants drain their counts and discard their
+     *     entries; a survivor here means a reference leak),
      *  2. scrub the tenant's page-cache footprint (Busy if pages are
      *     still referenced or loading),
      *  3. release the ASID in the registry (Busy if frames remain).
@@ -129,7 +128,7 @@ class GvmRuntime
             AP_ASSERT(stale == 0, "tenant ", asid, " teardown found ",
                       stale,
                       " stale TLB entr(ies): a warp leaked references "
-                      "or skipped the ASID flush");
+                      "or never destroyed its apointers");
             if (stale != 0)
                 return tenant::TenantStatus::Busy;
             ++it;

@@ -197,40 +197,6 @@ SoftTlb::unref(sim::Warp& w, gpufs::PageKey key, int n,
     return true;
 }
 
-uint32_t
-SoftTlb::flushAsid(sim::Warp& w, tenant::TenantId asid,
-                   gpufs::PageCache& cache)
-{
-    uint32_t flushed = 0;
-    for (uint32_t slot = 0; slot < nEntries; ++slot) {
-        Entry& e = entries[slot];
-        // Cheap unlocked screen; the lock re-check below has teeth.
-        if (e.key == 0 || gpufs::pageKeyAsid(e.key - 1) != asid)
-            continue;
-        e.entryLock.acquire(w);
-        w.chargeSharedRead();
-        if (e.key == 0 || gpufs::pageKeyAsid(e.key - 1) != asid) {
-            e.entryLock.release(w);
-            continue;
-        }
-        gpufs::PageKey k = e.key - 1;
-        int refs = e.ptRefs;
-        if (e.count != 0)
-            w.stats().inc("core.tlb_flush_forced", e.count);
-        retire(w.stats(), slot, TlbEvictReason::Shootdown, w.now());
-        e.key = 0;
-        e.count = 0;
-        e.ptRefs = 0;
-        w.chargeSharedWrite();
-        e.entryLock.release(w);
-        if (refs > 0)
-            cache.releasePage(w, k, refs);
-        ++flushed;
-    }
-    w.stats().inc("core.tlb_asid_flushes");
-    return flushed;
-}
-
 int
 SoftTlb::countOfHost(gpufs::PageKey key) const
 {

@@ -43,16 +43,15 @@ enum class TlbEvictReason : uint8_t
 {
     Conflict = 0,     ///< displaced by a conflicting count-zero install
     Invalidation = 1, ///< count dropped to zero; mapping discarded
-    Shootdown = 2,    ///< flushAsid (tenant teardown)
-    Teardown = 3,     ///< TLB destroyed at launch end with the entry live
+    Teardown = 2,     ///< TLB destroyed at launch end with the entry live
 };
 
 /** Number of TlbEvictReason values (table sizing). */
-constexpr size_t kTlbEvictReasons = 4;
+constexpr size_t kTlbEvictReasons = 3;
 
 /** Printable names, indexed by TlbEvictReason. */
 constexpr std::array<const char*, kTlbEvictReasons> kTlbEvictReasonNames{
-    "conflict", "invalidation", "shootdown", "teardown"};
+    "conflict", "invalidation", "teardown"};
 
 /** The software TLB of one threadblock. */
 class SoftTlb
@@ -117,27 +116,14 @@ class SoftTlb
     /** Number of entries. */
     uint32_t size() const { return nEntries; }
 
-    /**
-     * Shootdown: discard every cached mapping whose key belongs to
-     * address space @p asid, returning held page-table references. A
-     * nonzero block-private count is force-dropped — the flush runs at
-     * tenant teardown, after the tenant's warps have quiesced, so a
-     * surviving count means the tenant died holding references and the
-     * frames must still be unpinned rather than leaked.
-     *
-     * @return number of entries flushed
-     */
-    uint32_t flushAsid(sim::Warp& w, tenant::TenantId asid,
-                       gpufs::PageCache& cache)
-        AP_ACQUIRES("tlb.entry") AP_LEADER_ONLY;
-
     /** Host-side: block-private count of @p key (tests). */
     int countOfHost(gpufs::PageKey key) const;
 
     /**
-     * Host-side: entries still caching pages of @p asid. Zero after a
-     * flushAsid — the teardown path asserts exactly that, so a stale
-     * translation can never dangle past its address space.
+     * Host-side: entries still caching pages of @p asid. Zero once the
+     * tenant's warps have quiesced, because an entry is discarded when
+     * its count drains. The teardown path asserts exactly that, so a
+     * stale translation can never dangle past its address space.
      */
     uint32_t countAsidEntriesHost(tenant::TenantId asid) const;
 

@@ -11,9 +11,6 @@ namespace {
 
 constexpr uint32_t kDirtyFlag = 1u;
 
-/** Tracer track for speculative/advisory fill fault records. */
-constexpr int kPrefetchTrack = -3;
-
 using sim::check::SimCheck;
 
 /** Sync channel of a PTE word (refcount/state) in @p dev's memory. */
@@ -188,7 +185,7 @@ PageCache::insertLoading(sim::Warp& w, uint32_t b, uint32_t slot,
     pt.writeEntry(w, ea, ne);
     if (SimCheck::armed) {
         SimCheck::get().pcInsert(checkDomain, key, count,
-                                 w.globalWarpId(), w.now());
+                                 w.globalWarpId(), w.now(), w.tenant());
         if (flags & kSpecFlag)
             SimCheck::get().pcSpeculate(checkDomain, key,
                                         w.globalWarpId(), w.now());
@@ -317,7 +314,8 @@ PageCache::acquirePage(sim::Warp& w, PageKey key, int count, bool writable,
             // The references are real only once the ABA guard passed.
             if (SimCheck::armed)
                 SimCheck::get().pcRefAdjust(checkDomain, key, count,
-                                            w.globalWarpId(), w.now());
+                                            w.globalWarpId(), w.now(),
+                                            w.tenant());
             // Wait for a concurrent loader to finish the transfer. The
             // spin reads are relaxed; the acquire below pairs with the
             // loader's release on the state word.
@@ -567,8 +565,8 @@ PageCache::prefetchPage(sim::Warp& w, PageKey key, bool speculative)
     // prefetch track: the chain runs begin → enqueue/transfer stamps
     // (via the request's captured fid) → fill at Ready publication.
     const uint64_t pfid = dev->faultPath().begin(
-        kPrefetchTrack, static_cast<int64_t>(sp.file), pageKeyPageNo(key),
-        w.now());
+        sim::kPrefetchTrack, static_cast<int64_t>(sp.file),
+        pageKeyPageNo(key), w.now());
     std::function<void(hostio::IoStatus)> on_done =
         [this, fa, len = sp.len, state_addr, key, speculative,
          pfid](hostio::IoStatus st) {

@@ -310,7 +310,7 @@ HostIoEngine::dispatchBatch()
                      std::make_move_iterator(reqs.begin() + i),
                      std::make_move_iterator(reqs.begin() + j)),
                  bytes, host_free);
-        dev->tracer().span(-2, "dma",
+        dev->tracer().span(sim::kHostIoTrack, "dma",
                            "batch x" + std::to_string(n) + " (" +
                                std::to_string(bytes) + "B)",
                            host_free, done,
@@ -399,7 +399,7 @@ HostIoEngine::dispatchQos()
     dev->stats().inc(pfx + "io_requests", n);
     dev->stats().inc(pfx + "io_bytes", bytes);
     sim::Cycles done = ship(std::move(group), bytes, host_free);
-    dev->tracer().span(-2, "dma",
+    dev->tracer().span(sim::kHostIoTrack, "dma",
                        "qos t" + std::to_string(asid) + " x" +
                            std::to_string(n) + " (" +
                            std::to_string(bytes) + "B)",

@@ -77,8 +77,6 @@ SimCheck::reset()
     lockNames.clear();
     lockGraph.clear();
     pages.clear();
-    faults.clear();
-    warpTenants.clear();
     reports_.clear();
     dedup.clear();
     relaxedDepth.clear();
@@ -519,31 +517,17 @@ SimCheck::pageName(uint64_t dom, uint64_t key)
 }
 
 void
-SimCheck::warpTenant(int warp, uint16_t asid)
-{
-    if (!enabled_)
-        return;
-    warpTenants[warp] = asid;
-}
-
-void
 SimCheck::auditTenant(uint64_t dom, uint64_t key, int warp,
-                      const char* what)
+                      uint16_t tenant, const char* what)
 {
-    if (warp < 0)
-        return; // host-side scrubs and evictions carry no binding
-    uint16_t bound = 0;
-    auto it = warpTenants.find(warp);
-    if (it != warpTenants.end())
-        bound = it->second;
     uint16_t owner = static_cast<uint16_t>(key >> 56);
-    if (bound == owner)
+    if (tenant == owner)
         return;
     report(ReportKind::Invariant,
            std::string("xtenant:") + what + ":" + std::to_string(dom) +
                ":" + std::to_string(key) + ":" + std::to_string(warp),
            std::string("cross-tenant ") + what + ": warp " +
-               std::to_string(warp) + " (tenant " + std::to_string(bound) +
+               std::to_string(warp) + " (tenant " + std::to_string(tenant) +
                ") touched " + pageName(dom, key) +
                " owned by tenant " + std::to_string(owner) +
                " — address-space isolation violated");
@@ -578,7 +562,7 @@ SimCheck::pageShadow(uint64_t dom, uint64_t key)
 
 void
 SimCheck::pcInsert(uint64_t dom, uint64_t key, int64_t rc, int warp,
-                   double cycle)
+                   double cycle, uint16_t tenant)
 {
     if (!enabled_)
         return;
@@ -593,7 +577,7 @@ SimCheck::pcInsert(uint64_t dom, uint64_t key, int64_t rc, int warp,
     }
     auditEdge(dom, key, "Absent", "Loading");
     if (rc > 0)
-        auditTenant(dom, key, warp, "demand insert");
+        auditTenant(dom, key, warp, tenant, "demand insert");
     PageShadow ps;
     ps.rc = rc;
     ps.st = PageShadow::Loading;
@@ -656,7 +640,7 @@ SimCheck::pcFillError(uint64_t dom, uint64_t key, int warp, double cycle)
 
 void
 SimCheck::pcRefAdjust(uint64_t dom, uint64_t key, int64_t delta, int warp,
-                      double cycle)
+                      double cycle, uint16_t tenant)
 {
     if (!enabled_)
         return;
@@ -692,7 +676,7 @@ SimCheck::pcRefAdjust(uint64_t dom, uint64_t key, int64_t delta, int warp,
         return;
     }
     if (delta > 0)
-        auditTenant(dom, key, warp, "reference");
+        auditTenant(dom, key, warp, tenant, "reference");
     ps->rc += delta;
 }
 
@@ -823,7 +807,7 @@ SimCheck::pcSpecDemand(uint64_t dom, uint64_t key, int warp, double cycle)
 
 void
 SimCheck::pcLink(uint64_t dom, uint64_t key, int64_t n, int warp,
-                 double cycle)
+                 double cycle, uint16_t tenant)
 {
     if (!enabled_)
         return;
@@ -847,7 +831,7 @@ SimCheck::pcLink(uint64_t dom, uint64_t key, int64_t n, int warp,
                    std::to_string(warp) + ")");
         return;
     }
-    auditTenant(dom, key, warp, "apointer link");
+    auditTenant(dom, key, warp, tenant, "apointer link");
     ps->links += n;
 }
 
@@ -872,113 +856,10 @@ SimCheck::pcUnlink(uint64_t dom, uint64_t key, int64_t n, int warp,
 }
 
 void
-SimCheck::fpOpen(uint64_t fid, double cycle)
-{
-    if (!enabled_)
-        return;
-    FaultShadow& fs = faults[fid];
-    fs.openCycle = cycle;
-    fs.lastCycle = cycle;
-    fs.lastName = "open";
-}
-
-void
-SimCheck::fpStamp(uint64_t fid, int stage, const char* name, double cycle)
-{
-    if (!enabled_)
-        return;
-    auto it = faults.find(fid);
-    if (it == faults.end()) {
-        report(ReportKind::Invariant, "fpunknown:" + std::to_string(fid),
-               "fault-chain stamp '" + std::string(name) +
-                   "' against unknown fault id " + std::to_string(fid));
-        return;
-    }
-    FaultShadow& fs = it->second;
-    if (cycle < fs.lastCycle) {
-        report(ReportKind::Invariant, "fpmono:" + std::to_string(fid),
-               "fault " + std::to_string(fid) + " stage chain moved "
-               "backwards in time: '" + std::string(name) + "' @ cycle " +
-                   std::to_string(cycle) + " after '" + fs.lastName +
-                   "' @ cycle " + std::to_string(fs.lastCycle));
-        return;
-    }
-    fs.lastCycle = cycle;
-    fs.lastName = name;
-    if (stage >= 0 && stage < FaultShadow::kStages) {
-        fs.stageAt[stage] = cycle;
-        fs.stamped[stage] = true;
-    }
-}
-
-void
-SimCheck::fpClose(uint64_t fid, double cycle)
-{
-    if (!enabled_)
-        return;
-    auto it = faults.find(fid);
-    if (it == faults.end()) {
-        report(ReportKind::Invariant, "fpunknown:" + std::to_string(fid),
-               "fault-chain close against unknown fault id " +
-                   std::to_string(fid));
-        return;
-    }
-    FaultShadow fs = it->second;
-    faults.erase(it);
-    if (cycle < fs.lastCycle) {
-        report(ReportKind::Invariant, "fpmono:" + std::to_string(fid),
-               "fault " + std::to_string(fid) +
-                   " closed @ cycle " + std::to_string(cycle) +
-                   " before its last stamp '" + fs.lastName +
-                   "' @ cycle " + std::to_string(fs.lastCycle));
-        return;
-    }
-    // The final values must order enqueue <= transfer-start <=
-    // transfer-end <= fill <= close (stages mirror sim::FaultStage:
-    // 2=enqueue, 3=transfer-start, 4=transfer-end, 5=fill).
-    double prev = fs.openCycle;
-    static const char* const chain[] = {"lookup", "alloc", "enqueue",
-                                        "transfer-start", "transfer-end",
-                                        "fill"};
-    for (int s = 0; s < FaultShadow::kStages; ++s) {
-        if (!fs.stamped[s])
-            continue;
-        if (fs.stageAt[s] < prev) {
-            report(ReportKind::Invariant,
-                   "fpchain:" + std::to_string(fid),
-                   "fault " + std::to_string(fid) +
-                       " final stage chain out of order at '" +
-                       chain[s] + "' (cycle " +
-                       std::to_string(fs.stageAt[s]) +
-                       " < preceding stage cycle " + std::to_string(prev) +
-                       ")");
-            return;
-        }
-        prev = fs.stageAt[s];
-    }
-}
-
-void
-SimCheck::auditFaultChains()
-{
-    if (!enabled_)
-        return;
-    for (const auto& [fid, fs] : faults) {
-        report(ReportKind::Invariant, "fpleak:" + std::to_string(fid),
-               "fault " + std::to_string(fid) +
-                   " opened @ cycle " + std::to_string(fs.openCycle) +
-                   " never closed: last stage '" + fs.lastName +
-                   "' @ cycle " + std::to_string(fs.lastCycle) +
-                   " leaked at shutdown");
-    }
-}
-
-void
 SimCheck::auditLeaks()
 {
     if (!enabled_)
         return;
-    auditFaultChains();
     for (const auto& [id, ps] : pages) {
         if (ps.rc == 0 && ps.links == 0)
             continue;

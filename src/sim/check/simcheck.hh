@@ -16,6 +16,9 @@
  *     pages with live references or linked apointers are never
  *     evicted, and page-table entries only take legal PteState edges.
  *
+ * Checks that live beside their state (FaultPath's stage chains) file
+ * their findings through report().
+ *
  * The checker is always compiled (it has no dependencies) and gated at
  * runtime: SimCheck::armed is false by default, so instrumentation in
  * the hot paths costs one predictable branch. It turns on when
@@ -38,7 +41,6 @@
 #ifndef AP_SIM_CHECK_SIMCHECK_HH
 #define AP_SIM_CHECK_SIMCHECK_HH
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -206,7 +208,7 @@ class SimCheck
 
     /** New page-table entry for @p key: state Loading, refcount @p rc. */
     void pcInsert(uint64_t dom, uint64_t key, int64_t rc, int warp,
-                  double cycle);
+                  double cycle, uint16_t tenant = 0);
 
     /** Entry for @p key published Ready (legal only from Loading). */
     void pcReady(uint64_t dom, uint64_t key, int warp, double cycle);
@@ -220,7 +222,7 @@ class SimCheck
 
     /** Refcount change by @p delta (minor fault +n / release -n). */
     void pcRefAdjust(uint64_t dom, uint64_t key, int64_t delta, int warp,
-                     double cycle);
+                     double cycle, uint16_t tenant = 0);
 
     /** Eviction claim: refcount 0 -> -1 (legal from Ready or Error). */
     void pcClaim(uint64_t dom, uint64_t key, int warp, double cycle);
@@ -248,7 +250,7 @@ class SimCheck
 
     /** @p n apointer lanes linked against @p key's frame. */
     void pcLink(uint64_t dom, uint64_t key, int64_t n, int warp,
-                double cycle);
+                double cycle, uint16_t tenant = 0);
 
     /** @p n apointer lanes unlinked from @p key's frame. */
     void pcUnlink(uint64_t dom, uint64_t key, int64_t n, int warp,
@@ -257,17 +259,12 @@ class SimCheck
     // ------------------------------------------------------------------
     // Tenant-isolation auditor
     // ------------------------------------------------------------------
-
-    /**
-     * Warp @p warp now executes on behalf of tenant @p asid. Bindings
-     * persist until rebound; unbound warps default to tenant 0. The
-     * auditor flags any reference, insert, or apointer link a warp
-     * performs against a page keyed to a *different* ASID — a
-     * cross-tenant mapping that would defeat address-space isolation.
-     * Evictions (pcClaim/pcRemove) are exempt: reclaiming another
-     * tenant's cold frame is legal sharing of the physical cache.
-     */
-    void warpTenant(int warp, uint16_t asid);
+    //
+    // pcInsert (rc > 0), pcRefAdjust (delta > 0) and pcLink take the
+    // acting warp's tenant (0 when unbound) and flag a page keyed to
+    // any other ASID: a cross-tenant mapping defeats address-space
+    // isolation. Evictions (pcClaim/pcRemove) are exempt: reclaiming
+    // another tenant's cold frame is legal sharing of the cache.
 
     /**
      * Tenant @p asid was torn down in domain @p dom: audit that no
@@ -277,41 +274,10 @@ class SimCheck
      */
     void pcTeardownTenant(uint64_t dom, uint16_t asid, double cycle);
 
-    // ------------------------------------------------------------------
-    // Fault-chain auditor (fault-path observability)
-    // ------------------------------------------------------------------
-
-    /** Fault @p fid opened at @p cycle (FaultPath::begin). */
-    void fpOpen(uint64_t fid, double cycle);
-
-    /**
-     * Fault @p fid stamped stage @p stage (FaultStage value, with
-     * printable @p name) at @p cycle. Reports an Invariant violation
-     * when a stamp moves backwards in time relative to the fault's
-     * previous stamp — the stage chain must be monotone.
-     */
-    void fpStamp(uint64_t fid, int stage, const char* name, double cycle);
-
-    /**
-     * Fault @p fid closed at @p cycle. Checks the final chain
-     * ordering enqueue <= transfer-start <= transfer-end <= fill <=
-     * close and drops the shadow record.
-     */
-    void fpClose(uint64_t fid, double cycle);
-
-    /**
-     * Shutdown audit: every opened fault must have been closed; an
-     * unclosed fault ID means a fault path lost track of a waiter
-     * (reported as an Invariant violation). Also runs as part of
-     * auditLeaks().
-     */
-    void auditFaultChains();
-
     /**
      * Quiescence audit: every tracked page must have refcount 0 and no
      * live links. Call after all references should have been returned;
-     * anything still held is reported as a leak. Also audits fault
-     * chains (auditFaultChains).
+     * anything still held is reported as a leak.
      */
     void auditLeaks();
 
@@ -351,6 +317,13 @@ class SimCheck
     /** Drop collected reports (shadow state survives). */
     void clearReports();
 
+    /**
+     * File a report of kind @p kind, once per @p dedup key: warn, keep
+     * it for reports(), and panic under fail-on-report.
+     */
+    void report(ReportKind kind, const std::string& dedup,
+                const std::string& msg);
+
   private:
     SimCheck();
 
@@ -362,8 +335,6 @@ class SimCheck
     void relaxedExit();
     bool relaxedHere();
     double nowCycles() const { return now_ ? now_() : 0.0; }
-    void report(ReportKind kind, const std::string& dedup,
-                const std::string& msg);
 
     // --- race detector internals -------------------------------------
     /** One byte-masked access epoch within an 8-byte granule. */
@@ -437,23 +408,12 @@ class SimCheck
 
     PageShadow* pageShadow(uint64_t dom, uint64_t key);
     static std::string pageName(uint64_t dom, uint64_t key);
-    /** Flag @p what if @p warp is bound to a tenant other than @p key's. */
-    void auditTenant(uint64_t dom, uint64_t key, int warp,
+    /** Flag @p what if @p tenant (acting as @p warp) is not @p key's. */
+    void auditTenant(uint64_t dom, uint64_t key, int warp, uint16_t tenant,
                      const char* what);
     /** Report unless from->to is an edge of ap::kPteStateMachine. */
     void auditEdge(uint64_t dom, uint64_t key, const char* from,
                    const char* to);
-
-    // --- fault-chain internals ---------------------------------------
-    struct FaultShadow
-    {
-        static constexpr int kStages = 6; ///< mirrors kFaultStages
-        double openCycle = 0;
-        double lastCycle = 0;
-        std::string lastName = "open";
-        std::array<double, kStages> stageAt{};
-        std::array<bool, kStages> stamped{};
-    };
 
     // --- state --------------------------------------------------------
     bool enabled_ = false;
@@ -479,8 +439,6 @@ class SimCheck
         lockGraph;
 
     std::unordered_map<PageId, PageShadow, PageIdHash> pages;
-    std::unordered_map<uint64_t, FaultShadow> faults;
-    std::unordered_map<int, uint16_t> warpTenants;
 
     std::vector<Report> reports_;
     std::unordered_set<std::string> dedup;

@@ -14,7 +14,7 @@ Engine* checkTimeEngine = nullptr;
 } // namespace
 
 Device::Device(const CostModel& cm, size_t mem_bytes)
-    : cm_(cm), mem_(mem_bytes, cm)
+    : cm_(cm), mem_(mem_bytes, cm), faultpath_(stats_, tracer_)
 {
     AP_ASSERT(cm_.numSms > 0, "need at least one SM");
     checkTimeEngine = &eng_;
@@ -24,7 +24,6 @@ Device::Device(const CostModel& cm, size_t mem_bytes)
     for (int i = 0; i < cm_.numSms; ++i)
         sms_.emplace_back(cm_.issuePerSmPerCycle);
     tracer_.setStats(&stats_);
-    faultpath_.attach(&stats_, &tracer_);
 }
 
 Device::~Device()
@@ -75,7 +74,7 @@ Device::tryDispatch(LaunchState& ls)
         for (int wi = 0; wi < ls.warpsPerBlock; ++wi) {
             auto warp = std::make_unique<Warp>(
                 ls.nextGlobalWarp++, wi, tb.get(), &mem_, &eng_, &cm_,
-                &stats_, &faultpath_);
+                &stats_, faultpath_);
             Warp* wp = warp.get();
             ThreadBlock* tbp = tb.get();
             auto fiber = std::make_unique<Fiber>([this, &ls, wp, tbp] {
@@ -140,10 +139,9 @@ Device::launch(int num_blocks, int warps_per_block, const KernelFn& fn,
               "kernel deadlocked: ", ls.liveWarps, " warps never finished");
     // The engine drained, so every fault opened during the launch
     // (including speculative fills) must have closed by now.
-    if (check::SimCheck::armed)
-        check::SimCheck::get().auditFaultChains();
+    faultpath_.auditClosed(eng_.now());
     stats_.inc("sim.launches");
-    tracer_.span(-1, "kernel",
+    tracer_.span(kKernelTrack, "kernel",
                  "launch[" + std::to_string(num_blocks) + "x" +
                      std::to_string(warps_per_block) + "]",
                  start, eng_.now());

@@ -48,8 +48,22 @@ stageSubsystem(FaultStage s)
     return "?";
 }
 
-/** Track hosting the DMA batch spans (see HostIoEngine). */
-constexpr int kHostIoTrack = -2;
+/**
+ * Report chain defect @p what of fault @p fid (dedup key @p key + id):
+ * stamp @p name at cycle @p at follows stamp @p prev at @p prev_at.
+ * Out of line and cold, so stamp() and end() keep small frames on the
+ * warp fiber stacks.
+ */
+[[gnu::noinline, gnu::cold]] void
+reportChain(const char* key, uint64_t fid, const char* what,
+            const char* name, Cycles at, const char* prev, Cycles prev_at)
+{
+    check::SimCheck::get().report(
+        check::ReportKind::Invariant, key + std::to_string(fid),
+        "fault " + std::to_string(fid) + " " + what + ": '" + name +
+            "' @ cycle " + std::to_string(at) + " after '" + prev +
+            "' @ cycle " + std::to_string(prev_at));
+}
 
 } // namespace
 
@@ -62,8 +76,7 @@ FaultPath::begin(int track, int64_t file, uint64_t page, Cycles t)
     r.file = file;
     r.page = page;
     r.t0 = t;
-    if (check::SimCheck::armed)
-        check::SimCheck::get().fpOpen(fid, t);
+    r.last = t;
     return fid;
 }
 
@@ -85,9 +98,11 @@ FaultPath::stamp(uint64_t fid, FaultStage s, Cycles t)
         return;
     r.has[i] = true;
     r.at[i] = t;
-    if (check::SimCheck::armed)
-        check::SimCheck::get().fpStamp(fid, static_cast<int>(s),
-                                       faultStageName(s), t);
+    if (check::SimCheck::armed && t < r.last)
+        reportChain("fpmono:", fid, "stage chain moved backwards in time",
+                    faultStageName(s), t, r.lastName, r.last);
+    r.last = t;
+    r.lastName = faultStageName(s);
 }
 
 void
@@ -99,8 +114,7 @@ FaultPath::attempt(uint64_t fid)
     if (it == open_.end())
         return;
     it->second.attempts++;
-    if (stats_)
-        stats_->inc("faultpath.retries");
+    stats_.inc("faultpath.retries");
 }
 
 void
@@ -116,12 +130,14 @@ FaultPath::end(uint64_t fid, FaultKind kind, Cycles t)
 
     const char* kn = faultKindName(kind);
     const std::string prefix = std::string("faultpath.") + kn + ".";
-    if (stats_) {
-        stats_->inc("faultpath.faults." + std::string(kn));
-        stats_->recordValue(prefix + "total", t - r.t0);
-    }
+    stats_.inc("faultpath.faults." + std::string(kn));
+    stats_.recordValue(prefix + "total", t - r.t0);
+    const bool armed = check::SimCheck::armed;
+    if (armed && t < r.last)
+        reportChain("fpmono:", fid, "closed before its last stamp", "close",
+                    t, r.lastName, r.last);
 
-    const bool traced = tracer_ && tracer_->enabled();
+    const bool traced = tracer_.enabled();
     Tracer::Args args{{"fault", static_cast<double>(fid)},
                       {"file", static_cast<double>(r.file)},
                       {"page", static_cast<double>(r.page)},
@@ -129,45 +145,53 @@ FaultPath::end(uint64_t fid, FaultKind kind, Cycles t)
 
     // Stage deltas between consecutive present stamps telescope to
     // the end-to-end latency; the remainder after the last stamp is
-    // the waiter wakeup.
+    // the waiter wakeup. A negative delta is a stage stamped before
+    // the one it follows.
     Cycles prev = r.t0;
+    const char* prev_name = "open";
     for (size_t i = 0; i < kFaultStages; i++) {
         if (!r.has[i])
             continue;
         auto s = static_cast<FaultStage>(i);
         Cycles delta = r.at[i] - prev;
-        if (stats_) {
-            stats_->recordValue(prefix + faultStageName(s), delta);
-            stats_->recordValue(
-                std::string("faultpath.subsys.") + stageSubsystem(s),
-                delta);
-        }
+        if (armed && delta < 0)
+            reportChain("fpchain:", fid, "final stage chain out of order",
+                        faultStageName(s), r.at[i], prev_name, prev);
+        stats_.recordValue(prefix + faultStageName(s), delta);
+        stats_.recordValue(
+            std::string("faultpath.subsys.") + stageSubsystem(s), delta);
         if (traced)
-            tracer_->span(r.track, "faultstage",
-                          std::string(kn) + "." + faultStageName(s), prev,
-                          r.at[i], args);
+            tracer_.span(r.track, "faultstage",
+                         std::string(kn) + "." + faultStageName(s), prev,
+                         r.at[i], args);
         prev = r.at[i];
+        prev_name = faultStageName(s);
     }
-    if (stats_) {
-        stats_->recordValue(prefix + "wakeup", t - prev);
-        stats_->recordValue("faultpath.subsys.sim", t - prev);
-    }
+    stats_.recordValue(prefix + "wakeup", t - prev);
+    stats_.recordValue("faultpath.subsys.sim", t - prev);
     if (traced) {
-        tracer_->span(r.track, "faultstage",
-                      std::string(kn) + ".wakeup", prev, t, args);
+        tracer_.span(r.track, "faultstage",
+                     std::string(kn) + ".wakeup", prev, t, args);
         // One flow per fault: warp track at aggregation, a hop on the
         // host-IO track when the fault reached DMA, back to the warp
         // track at wakeup — Perfetto draws the arrows across tracks.
-        tracer_->flowStart(fid, r.track, "fault", "fault", r.t0);
+        tracer_.flowStart(fid, r.track, "fault", "fault", r.t0);
         size_t ts = static_cast<size_t>(FaultStage::TransferStart);
         if (r.has[ts])
-            tracer_->flowStep(fid, kHostIoTrack, "fault", "fault",
-                              r.at[ts]);
-        tracer_->flowEnd(fid, r.track, "fault", "fault", t);
+            tracer_.flowStep(fid, kHostIoTrack, "fault", "fault",
+                             r.at[ts]);
+        tracer_.flowEnd(fid, r.track, "fault", "fault", t);
     }
+}
 
-    if (check::SimCheck::armed)
-        check::SimCheck::get().fpClose(fid, t);
+void
+FaultPath::auditClosed(Cycles now) const
+{
+    if (!check::SimCheck::armed)
+        return;
+    for (const auto& [fid, r] : open_)
+        reportChain("fpleak:", fid, "never closed", "drain", now,
+                    r.lastName, r.last);
 }
 
 } // namespace ap::sim

@@ -13,9 +13,12 @@
  *  - per-stage tracer spans (category "faultstage") nested under the
  *    fault's span, with args (fault id, file, page, attempt),
  *  - flow events linking the fault's spans across the warp and host
- *    tracks in Perfetto,
- *  - a SimCheck mirror so the fault-chain auditor can assert stamp
- *    monotonicity and no unclosed fault at shutdown.
+ *    tracks in Perfetto.
+ *
+ * When simcheck is armed the recorder audits its own records: a stamp
+ * or close earlier than the previous stamp, a final chain out of stage
+ * order, and a fault still open when a launch drains are Invariant
+ * reports.
  *
  * Stage deltas are taken between consecutive *present* stamps, so the
  * per-stage durations always telescope exactly to the end-to-end
@@ -88,12 +91,10 @@ const char* faultStageName(FaultStage s);
 class FaultPath
 {
   public:
-    /** Wire up the sinks (stats is required, tracer may be null). */
-    void
-    attach(StatGroup* stats, Tracer* tracer)
+    /** Record into @p stats; emit spans into @p tracer when enabled. */
+    FaultPath(StatGroup& stats, Tracer& tracer)
+        : stats_(stats), tracer_(tracer)
     {
-        stats_ = stats;
-        tracer_ = tracer;
     }
 
     /**
@@ -132,6 +133,12 @@ class FaultPath
     /** Faults currently open (should be 0 at quiescence). */
     size_t openCount() const { return open_.size(); }
 
+    /**
+     * Quiescence audit (simcheck armed): report every fault still open
+     * when the engine drained at cycle @p now, since none can close.
+     */
+    void auditClosed(Cycles now) const;
+
   private:
     struct Rec
     {
@@ -140,12 +147,14 @@ class FaultPath
         uint64_t page;
         Cycles t0;
         uint32_t attempts = 0;
+        Cycles last = 0;                ///< latest stamp (t0 at begin)
+        const char* lastName = "open";  ///< its stage name
         std::array<Cycles, kFaultStages> at{};
         std::array<bool, kFaultStages> has{};
     };
 
-    StatGroup* stats_ = nullptr;
-    Tracer* tracer_ = nullptr;
+    StatGroup& stats_;
+    Tracer& tracer_;
     uint64_t next_ = 1;
     std::unordered_map<uint64_t, Rec> open_;
 };

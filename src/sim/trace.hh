@@ -29,8 +29,12 @@
 
 namespace ap::sim {
 
-/** Track id for telemetry counter series (warp tracks are >= 0; the
- * host-IO and prefetch tracks use -2/-3). */
+/** Track ids below the warp tracks (warp tracks are >= 0): kernel
+ * launch spans, host-IO DMA batches, speculative prefetch fills, and
+ * telemetry counter series. */
+constexpr int kKernelTrack = -1;
+constexpr int kHostIoTrack = -2;
+constexpr int kPrefetchTrack = -3;
 constexpr int kTelemetryTrack = -4;
 
 /** Minimum cycles between two samples of one telemetry counter

@@ -53,11 +53,11 @@ class Warp
      * @param eng_         event engine
      * @param cm_          timing constants
      * @param stats_       launch-wide statistics sink
-     * @param fp_          fault-path recorder (null in bare-warp tests)
+     * @param fp_          the device's fault-path recorder
      */
     Warp(int global_id, int warp_in_block, ThreadBlock* tb,
          GlobalMemory* mem_, Engine* eng_, const CostModel* cm_,
-         StatGroup* stats_, FaultPath* fp_ = nullptr)
+         StatGroup* stats_, FaultPath& fp_)
         : gid(global_id), widInBlock(warp_in_block), tb_(tb), mem_(mem_),
           eng_(eng_), cm_(cm_), stats_(stats_), fp_(fp_)
     {
@@ -442,8 +442,8 @@ class Warp
     /** The event engine (for blocking on external events like DMA). */
     Engine& engine() { return *eng_; }
 
-    /** The device's fault-path recorder (null in bare-warp tests). */
-    FaultPath* faultPath() { return fp_; }
+    /** The device's fault-path recorder. */
+    FaultPath& faultPath() { return fp_; }
 
     /** The fault ID this warp is currently servicing (0 when none). */
     uint64_t activeFault() const { return activeFault_; }
@@ -465,13 +465,7 @@ class Warp
      * address space. Serving workloads rebind per request; the default
      * binding is tenant 0 so single-tenant code never notices.
      */
-    void
-    setTenant(uint16_t asid)
-    {
-        tenant_ = asid;
-        if (check::SimCheck::armed)
-            check::SimCheck::get().warpTenant(gid, asid);
-    }
+    void setTenant(uint16_t asid) { tenant_ = asid; }
 
   private:
     /** Acquire+release on the sync channel of atomic word @p a. */
@@ -490,7 +484,7 @@ class Warp
     Engine* eng_;
     const CostModel* cm_;
     StatGroup* stats_;
-    FaultPath* fp_ = nullptr;
+    FaultPath& fp_;
     uint64_t activeFault_ = 0;
     uint16_t tenant_ = 0;
 };

@@ -47,7 +47,6 @@ TEST(TlbTelemetry, InvalidationRetireRecordsHitsAndReuseDistance)
     EXPECT_EQ(s.counter("tlb.inserts"), 1u);
     EXPECT_EQ(s.counter("tlb.evict.invalidation"), 1u);
     EXPECT_EQ(s.counter("tlb.evict.conflict"), 0u);
-    EXPECT_EQ(s.counter("tlb.evict.shootdown"), 0u);
     EXPECT_EQ(s.counter("tlb.evict.teardown"), 0u);
     // The entry absorbed one hit, so it is not dead-on-arrival and its
     // hit count lands in the retired-hits counter.
@@ -127,30 +126,6 @@ TEST(TlbTelemetry, ConflictRetiresCountZeroVictim)
     EXPECT_EQ(fx.fs->cache().residentRefcountHost(
                   gpufs::makePageKey(f, 1)),
               0);
-}
-
-TEST(TlbTelemetry, ShootdownRetireClassifiedPerReason)
-{
-    StackFixture fx(tlbConfig());
-    hostio::FileId f = fx.makeWordFile("f", 4096);
-    tenant::TenantRegistry reg;
-    tenant::RegisterResult t1 = reg.registerTenant({"dead", 1, 1});
-    ASSERT_TRUE(t1.ok());
-    fx.dev->launch(1, 1, [&](sim::Warp& w) {
-        w.setTenant(t1.id);
-        auto p = gvmmap<uint32_t>(w, *fx.rt, 4 * 4096, hostio::O_GRDONLY,
-                                  f, 0);
-        p.read(w); // caches the mapping under t1's ASID
-        SoftTlb* tlb = fx.rt->tlbFor(w);
-        ASSERT_NE(tlb, nullptr);
-        // The tenant dies holding p: the shootdown force-drops the
-        // counted entry (p is deliberately not destroyed).
-        EXPECT_EQ(tlb->flushAsid(w, t1.id, fx.fs->cache()), 1u);
-    });
-    const StatGroup& s = fx.dev->stats();
-    EXPECT_EQ(s.counter("tlb.evict.shootdown"), 1u);
-    EXPECT_EQ(s.counter("tlb.doa.shootdown"), 1u); // never hit
-    EXPECT_EQ(s.counter("tlb.evict.invalidation"), 0u);
 }
 
 TEST(TlbTelemetry, LiveEntryAtLaunchEndRetiresAsTeardown)

@@ -3,13 +3,16 @@
  * Units for the fault-path recorder (docs/OBSERVABILITY.md): stage
  * stamp semantics (keep-first vs keep-latest), telescoping of stage
  * deltas to the end-to-end total, retry attribution, flow-event
- * well-formedness, and the tracer's bounded-memory event cap.
+ * well-formedness, the tracer's bounded-memory event cap, and the
+ * fault-chain audit simcheck runs over the recorder's own records.
  */
 
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "sim/check/simcheck.hh"
+#include "sim/device.hh"
 #include "sim/faultpath.hh"
 #include "sim/trace.hh"
 #include "util/stats.hh"
@@ -31,8 +34,8 @@ countOf(const std::string& s, const std::string& needle)
 TEST(FaultPath, FullChainTelescopesToTotal)
 {
     StatGroup stats;
-    FaultPath fp;
-    fp.attach(&stats, nullptr);
+    Tracer tr;
+    FaultPath fp(stats, tr);
 
     uint64_t fid = fp.begin(3, 1, 42, 1000);
     ASSERT_NE(fid, 0u);
@@ -75,8 +78,8 @@ TEST(FaultPath, SkippedStagesStillTelescope)
     // A minor fault stamps only Lookup; the rest of the time is
     // wakeup. No zero-length phantom stages appear.
     StatGroup stats;
-    FaultPath fp;
-    fp.attach(&stats, nullptr);
+    Tracer tr;
+    FaultPath fp(stats, tr);
     uint64_t fid = fp.begin(0, 1, 7, 500);
     fp.stamp(fid, FaultStage::Lookup, 600);
     fp.end(fid, FaultKind::Minor, 650);
@@ -90,8 +93,8 @@ TEST(FaultPath, SkippedStagesStillTelescope)
 TEST(FaultPath, LookupAndEnqueueKeepFirstTransferKeepsLatest)
 {
     StatGroup stats;
-    FaultPath fp;
-    fp.attach(&stats, nullptr);
+    Tracer tr;
+    FaultPath fp(stats, tr);
     uint64_t fid = fp.begin(0, 1, 7, 0);
     fp.stamp(fid, FaultStage::Lookup, 100);
     fp.stamp(fid, FaultStage::Lookup, 900); // re-probe: ignored
@@ -121,8 +124,8 @@ TEST(FaultPath, LookupAndEnqueueKeepFirstTransferKeepsLatest)
 TEST(FaultPath, ZeroAndUnknownIdsAreNoops)
 {
     StatGroup stats;
-    FaultPath fp;
-    fp.attach(&stats, nullptr);
+    Tracer tr;
+    FaultPath fp(stats, tr);
     fp.stamp(0, FaultStage::Lookup, 10);
     fp.attempt(0);
     fp.end(0, FaultKind::Major, 10);
@@ -139,8 +142,7 @@ TEST(FaultPath, FlowEventsAreWellFormed)
     StatGroup stats;
     Tracer tr;
     tr.enable();
-    FaultPath fp;
-    fp.attach(&stats, &tr);
+    FaultPath fp(stats, tr);
 
     // Two faults, one with a DMA hop (TransferStart stamped).
     uint64_t a = fp.begin(1, 1, 10, 0);
@@ -192,8 +194,8 @@ TEST(Tracer, EventCapBoundsMemoryAndCountsDrops)
 TEST(FaultPath, IssuedCountsMonotonically)
 {
     StatGroup stats;
-    FaultPath fp;
-    fp.attach(&stats, nullptr);
+    Tracer tr;
+    FaultPath fp(stats, tr);
     EXPECT_EQ(fp.issued(), 0u);
     uint64_t a = fp.begin(0, 0, 0, 0);
     uint64_t b = fp.begin(0, 0, 0, 0);
@@ -201,6 +203,97 @@ TEST(FaultPath, IssuedCountsMonotonically)
     EXPECT_EQ(fp.issued(), 2u);
     fp.end(a, FaultKind::Minor, 1);
     fp.end(b, FaultKind::Minor, 1);
+}
+
+/**
+ * Arms simcheck in report-collection mode and drives a device's fault
+ * recorder directly, so each case can plant one defect in a chain.
+ */
+class FaultChainAudit : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        check::SimCheck& sc = check::SimCheck::get();
+        sc.reset();
+        sc.setEnabled(true);
+        sc.setFailOnReport(false);
+    }
+
+    void
+    TearDown() override
+    {
+        check::SimCheck& sc = check::SimCheck::get();
+        sc.setEnabled(false);
+        sc.reset();
+    }
+
+    /** True when exactly one report was collected and it is an
+     * Invariant violation mentioning @p needle. */
+    static bool
+    soleInvariant(const std::string& needle)
+    {
+        const check::SimCheck& sc = check::SimCheck::get();
+        return sc.reports().size() == 1 &&
+               sc.hasReport(check::ReportKind::Invariant, needle);
+    }
+
+    Device dev{CostModel{}, size_t(1) << 20};
+};
+
+TEST_F(FaultChainAudit, StampBeforeThePreviousOneIsReported)
+{
+    FaultPath& fp = dev.faultPath();
+    uint64_t fid = fp.begin(0, 1, 7, 100);
+    fp.stamp(fid, FaultStage::Lookup, 200);
+    fp.stamp(fid, FaultStage::Alloc, 150);
+    EXPECT_TRUE(soleInvariant("moved backwards"));
+}
+
+TEST_F(FaultChainAudit, CloseBeforeTheLastStampIsReported)
+{
+    FaultPath& fp = dev.faultPath();
+    uint64_t fid = fp.begin(0, 1, 7, 100);
+    fp.stamp(fid, FaultStage::Fill, 500);
+    fp.end(fid, FaultKind::Major, 400);
+    EXPECT_TRUE(soleInvariant("before its last stamp"));
+}
+
+TEST_F(FaultChainAudit, KeepLatestStampOutOfStageOrderIsReported)
+{
+    // Each stamp is later than the one before, but the keep-latest
+    // TransferStart lands after TransferEnd: the final chain is out of
+    // stage order even though no single stamp moved backwards.
+    FaultPath& fp = dev.faultPath();
+    uint64_t fid = fp.begin(0, 1, 7, 100);
+    fp.stamp(fid, FaultStage::TransferEnd, 200);
+    fp.stamp(fid, FaultStage::TransferStart, 300);
+    fp.end(fid, FaultKind::Major, 400);
+    EXPECT_TRUE(soleInvariant("out of order"));
+}
+
+TEST_F(FaultChainAudit, FaultOpenWhenTheLaunchDrainsIsReported)
+{
+    dev.launch(1, 1, [&](Warp& w) {
+        dev.faultPath().begin(w.globalWarpId(), 1, 7, w.now());
+    });
+    EXPECT_TRUE(soleInvariant("never closed"));
+}
+
+TEST_F(FaultChainAudit, CleanChainIsSilent)
+{
+    dev.launch(1, 1, [&](Warp& w) {
+        FaultPath& fp = dev.faultPath();
+        uint64_t fid = fp.begin(w.globalWarpId(), 1, 7, w.now());
+        for (size_t i = 0; i < kFaultStages; ++i) {
+            w.stall(10);
+            fp.stamp(fid, static_cast<FaultStage>(i), w.now());
+        }
+        w.stall(10);
+        fp.end(fid, FaultKind::Major, w.now());
+    });
+    EXPECT_EQ(check::SimCheck::get().reports().size(), 0u);
 }
 
 } // namespace

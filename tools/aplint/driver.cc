@@ -263,21 +263,15 @@ analyze(const Options& opts)
     for (const FileModel& m : models)
         byPath[m.path] = &m;
 
-    CallGraph cg;
-    Summaries sums;
-    if (opts.wpa) {
-        cg = buildCallGraph(models);
-        sums = propagate(cg, g);
-        computeRefSummaries(models, g, cg, sums);
-    }
-    const Summaries* wpa = opts.wpa ? &sums : nullptr;
+    CallGraph cg = buildCallGraph(models);
+    Summaries sums = propagate(cg, g);
+    computeRefSummaries(models, g, cg, sums);
     for (const FileModel& m : models) {
         const auto f0 = std::chrono::steady_clock::now();
         runRules(m, g, report.findings);
-        if (wpa)
-            runPropagation(m, g, cg, sums, report.findings);
-        runDataflow(m, g, wpa, report.findings);
-        runTypestate(m, g, wpa, report.findings);
+        runPropagation(m, g, cg, sums, report.findings);
+        runDataflow(m, g, &sums, report.findings);
+        runTypestate(m, g, &sums, report.findings);
         if (opts.stats) {
             std::chrono::duration<double, std::milli> d =
                 std::chrono::steady_clock::now() - f0;

@@ -24,9 +24,6 @@ struct Options
                                       "examples", "tools"};
     /** Path substrings to skip (e.g. fixture directories). */
     std::vector<std::string> excludes;
-    /** Whole-program passes: call graph, contract propagation, and
-     *  summary-driven yield invalidation in the dataflow rules. */
-    bool wpa = true;
     /** Promote unused-waiver notes to gating findings. */
     bool strictWaivers = false;
     /** Baseline file of tolerated findings ("" = none). */

@@ -5,7 +5,7 @@
  *
  *   aplint [--root DIR] [--json | --sarif] [--exclude SUBSTR]...
  *          [--baseline FILE] [--emit-baseline] [--strict-waivers]
- *          [--no-wpa] [--stats] [path...]
+ *          [--stats] [path...]
  */
 
 #include "driver.hh"
@@ -41,14 +41,12 @@ main(int argc, char** argv)
             emitBaseline = true;
         } else if (arg == "--strict-waivers") {
             opts.strictWaivers = true;
-        } else if (arg == "--no-wpa") {
-            opts.wpa = false;
         } else if (arg == "--help" || arg == "-h") {
             std::printf(
                 "usage: aplint [--root DIR] [--json | --sarif] "
                 "[--exclude SUBSTR]... [--baseline FILE] "
-                "[--emit-baseline] [--strict-waivers] [--no-wpa] "
-                "[--stats] [path...]\n"
+                "[--emit-baseline] [--strict-waivers] [--stats] "
+                "[path...]\n"
                 "Lints the ActivePointers tree against the AP_* "
                 "contract annotations.\n"
                 "Default paths (relative to --root): src tests bench "
@@ -62,12 +60,7 @@ main(int argc, char** argv)
                 "  --stats           append per-file timing and "
                 "parse-cache counters\n"
                 "  --strict-waivers  stale (unused) waivers become "
-                "errors, not notes\n"
-                "  --no-wpa          disable the whole-program passes "
-                "(call graph,\n"
-                "                    contract propagation, inferred "
-                "yield invalidation,\n"
-                "                    interprocedural ref summaries)\n");
+                "errors, not notes\n");
             return 0;
         } else if (!arg.empty() && arg[0] == '-') {
             std::fprintf(stderr, "aplint: unknown option '%s'\n",

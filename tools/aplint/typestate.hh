@@ -74,7 +74,7 @@ void computeRefSummaries(const std::vector<FileModel>& files,
 
 /**
  * Run the typestate rules over one file. `sums` may be null (unit
- * tests / --no-wpa): declared annotations alone then drive call
+ * tests): declared annotations alone then drive call
  * effects and edge witnessing.
  */
 void runTypestate(const FileModel& m, const GlobalModel& g,
