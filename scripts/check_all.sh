@@ -20,7 +20,8 @@
 # The failure-semantics tests (ctest label `fault`: injector, retry/
 # backoff, fill-error propagation), the readahead tests (ctest label
 # `prefetch`: stream detection, window adaptation, throttle,
-# speculative-page lifecycle), and the observability tests (ctest
+# speculative-page lifecycle, and the bench_prefetch run diffed
+# against BENCH_prefetch.json), and the observability tests (ctest
 # label `obs`: fault-path recorder, latency histograms, stats export,
 # apstat incl. its diff mode), the serving-harness tests (ctest label
 # `serving`: arrivals, admission control, validation, JSON byte

@@ -569,7 +569,7 @@ class AptrVec
                                                    count, w.globalWarpId(),
                                                    w.now(), w.tenant());
             w.stats().inc("core.pages_linked");
-            // Close the record before notifying the prefetcher: the
+            // Close the record before running readahead: the
             // speculative fills it kicks off open their own records
             // and must not inherit this demand fault's id.
             fp.end(fault_id,
@@ -578,12 +578,11 @@ class AptrVec
                               : sim::FaultKind::Minor,
                    w.now());
             w.setActiveFault(0);
-            // Feed the serviced fault to the readahead engine (leader
+            // Feed the serviced fault to the cache's readahead (leader
             // context: we just elected and acted as the leader). Both
             // majors and minors advance the stream; direct mappings
             // and error paths never reach here.
-            if (prefetch::Prefetcher* pf = rt_->prefetcher())
-                pf->notifyFault(w, key, major_fault);
+            cache.readahead(w, key);
         }
     }
 

@@ -13,7 +13,6 @@
 #include "core/access_mode.hh"
 #include "core/tlb.hh"
 #include "gpufs/gpufs.hh"
-#include "prefetch/prefetcher.hh"
 
 namespace ap::core {
 
@@ -55,17 +54,10 @@ class GvmRuntime
     {
         AP_ASSERT(fs.pageSize() == 4096,
                   "short apointer layout assumes 4 KB pages");
-        // The readahead engine exists only when the page-cache config
-        // opts in; otherwise fault delivery costs one null check.
-        if (fs.cache().config().readahead.enabled)
-            prefetcher_ = std::make_unique<prefetch::Prefetcher>(fs);
     }
 
     /** The GPUfs layer. */
     gpufs::GpuFs& fs() { return *fs_; }
-
-    /** The readahead engine, or null when readahead is disabled. */
-    prefetch::Prefetcher* prefetcher() { return prefetcher_.get(); }
 
     /** Policy in force. */
     const GvmConfig& config() const { return cfg_; }
@@ -167,7 +159,6 @@ class GvmRuntime
     GvmConfig cfg_;
     AptrCosts costs_;
     hostio::FileId swapFile = -1;
-    std::unique_ptr<prefetch::Prefetcher> prefetcher_;
     std::vector<std::weak_ptr<SoftTlb>> tlbs_;
 };
 

@@ -14,15 +14,15 @@
 namespace ap::gpufs {
 
 /**
- * Adaptive readahead policy (src/prefetch/, DESIGN.md section 11).
- * Off by default: demand paging behaves exactly as before unless a
- * runtime opts in. The knobs live here, next to the page-cache
+ * Adaptive readahead policy (PageCache::readahead, DESIGN.md section
+ * 11). Off by default: demand paging behaves exactly as before unless
+ * a config opts in. The knobs live here, next to the page-cache
  * geometry they trade against, so a workload sizes the cache and the
  * speculation budget together.
  */
 struct ReadaheadConfig
 {
-    /** Master switch; when false no prefetcher is constructed. */
+    /** Master switch; when false PageCache::readahead returns at once. */
     bool enabled = false;
 
     /** Pages issued when a stream is first confirmed. */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "prefetch/throttle.hh"
 #include "sim/device.hh"
 #include "sim/trace.hh"
 
@@ -20,13 +21,28 @@ wordChan(sim::Device* dev, sim::Addr a)
     return SimCheck::atomicChan(dev->mem().checkMemId, a);
 }
 
+/**
+ * Stream identifier for the readahead table: the file id qualified by
+ * the owning tenant's ASID (folded into bits above the 16-bit file
+ * field). Two tenants scanning the same file advance independent
+ * streams — otherwise their interleaved faults would look like random
+ * access and neither would ever get ahead.
+ */
+hostio::FileId
+streamIdOf(PageKey key)
+{
+    return pageKeyFile(key) |
+           (static_cast<hostio::FileId>(pageKeyAsid(key)) << 16);
+}
+
 } // namespace
 
 PageCache::PageCache(sim::Device& dev_, hostio::HostIoEngine& io_,
                      const Config& cfg_)
     : dev(&dev_), io(&io_), cfg(cfg_), pt(dev_, cfg_),
       life("pagecache", kPageEvictReasonNames, "pagecache.life.fills",
-           "pagecache.life.lifetime", cfg_.numFrames)
+           "pagecache.life.lifetime", cfg_.numFrames),
+      streams_(cfg_.readahead)
 {
     framesBase = dev->mem().alloc(
         static_cast<size_t>(cfg.numFrames) * cfg.pageSize, cfg.pageSize);
@@ -304,7 +320,7 @@ PageCache::acquirePage(sim::Warp& w, PageKey key, int count, bool writable,
                     SimCheck::get().pcSpecDemand(checkDomain, key,
                                                  w.globalWarpId(), w.now());
                 // An errored speculative fill is not a hit; the host
-                // completion already told the observer.
+                // completion already fed it to the stream table.
                 if (e.state != static_cast<uint32_t>(PteState::Error))
                     settleSpecPage(
                         key, true,
@@ -581,8 +597,8 @@ PageCache::prefetchPage(sim::Warp& w, PageKey key, bool speculative)
                 dev->stats().inc("pagecache.fill_errors");
                 // Thrash feedback: a poisoned speculative fill means
                 // the window outran what the backing store can serve.
-                if (speculative && specObs)
-                    specObs->onSpecFillError(key);
+                if (speculative)
+                    streams_.onThrash(streamIdOf(key), pageKeyPageNo(key));
                 dev->faultPath().end(pfid, sim::FaultKind::Error, now);
                 return;
             }
@@ -609,6 +625,62 @@ PageCache::prefetchPage(sim::Warp& w, PageKey key, bool speculative)
     return PrefetchResult::Started;
 }
 
+void
+PageCache::readahead(sim::Warp& w, PageKey key)
+{
+    if (!cfg.readahead.enabled || hooks.postFetch)
+        return;
+    // Stream-table lookup: a handful of comparisons in the fault
+    // handler's leader lane.
+    w.issue(2);
+    const prefetch::StreamDecision d =
+        streams_.onFault(streamIdOf(key), pageKeyPageNo(key));
+    if (!d.issue)
+        return;
+
+    prefetch::Pressure p;
+    p.freeFrames = freeFrames.size();
+    p.numFrames = cfg.numFrames;
+    p.queueDepth = io->queueDepth();
+    const uint32_t allow = prefetch::throttleAllow(d.count, p, cfg.readahead);
+    if (allow < d.count)
+        dev->stats().inc("prefetch.throttled", d.count - allow);
+
+    // Issue the chunk. `covered` counts pages the stream cursor may
+    // advance past: fills actually started plus pages already
+    // resident. A drop (no frame / no slot) or the end of the file
+    // stops the chunk; the uncovered tail is retried by the stream's
+    // next fault.
+    const sim::Cycles issue_t0 = w.now();
+    uint32_t covered = 0;
+    int64_t page = static_cast<int64_t>(d.startPage);
+    for (uint32_t i = 0; i < allow; ++i, page += d.stride) {
+        if (page < 0)
+            break;
+        const PrefetchResult r = prefetchPage(
+            w,
+            makePageKey(pageKeyAsid(key), pageKeyFile(key),
+                        static_cast<uint64_t>(page)),
+            true);
+        if (r == PrefetchResult::Started) {
+            ++covered;
+            dev->stats().inc("prefetch.issued");
+        } else if (r == PrefetchResult::Resident) {
+            ++covered;
+        } else {
+            if (r == PrefetchResult::NoFrame || r == PrefetchResult::NoEntry)
+                dev->stats().inc("prefetch.dropped");
+            break;
+        }
+    }
+    streams_.committed(d.sid, covered);
+    // The burst runs on the faulting warp's leader lane after its own
+    // fault closed, so this cost is handler overhead, not fault
+    // latency — tracked separately so it can't hide in either.
+    dev->stats().recordValue("faultpath.prefetch.issue_burst",
+                             w.now() - issue_t0);
+}
+
 uint32_t
 PageCache::tryAllocFrame(sim::Warp& w)
 {
@@ -630,14 +702,10 @@ PageCache::settleSpecPage(PageKey key, bool hit, bool late)
         dev->stats().inc("prefetch.useful");
         if (late)
             dev->stats().inc("prefetch.late");
+        streams_.onHit(streamIdOf(key), pageKeyPageNo(key));
     } else {
         dev->stats().inc("prefetch.wasted");
-    }
-    if (specObs) {
-        if (hit)
-            specObs->onSpecHit(key, late);
-        else
-            specObs->onSpecEvictedUnused(key);
+        streams_.onThrash(streamIdOf(key), pageKeyPageNo(key));
     }
 }
 

@@ -22,6 +22,7 @@
 #include "gpufs/contig_profiler.hh"
 #include "gpufs/page_table.hh"
 #include "hostio/host_io_engine.hh"
+#include "prefetch/stream_table.hh"
 #include "sim/lifetime_ledger.hh"
 #include "tenant/tenant.hh"
 #include "util/annotations.hh"
@@ -110,26 +111,6 @@ enum class PrefetchResult
     NoEntry,
     /** The byte range cannot be read (bad file / beyond EOF). */
     BadRange,
-};
-
-/**
- * Feedback sink for speculative fills (implemented by the readahead
- * prefetcher, src/prefetch/). The cache reports the fate of every
- * page it filled speculatively: demanded (hit — possibly "late", i.e.
- * still Loading when the demand arrived), evicted unused (thrash), or
- * poisoned by a failed fill. Hit/evict callbacks run on a warp fiber;
- * the fill-error callback runs host-side at DMA completion time.
- */
-class SpecObserver
-{
-  public:
-    virtual ~SpecObserver() = default;
-    /** A demand fault consumed the speculative page. */
-    virtual void onSpecHit(PageKey key, bool late) = 0;
-    /** The speculative page was evicted before any demand touch. */
-    virtual void onSpecEvictedUnused(PageKey key) = 0;
-    /** The speculative fill failed terminally (PteState::Error). */
-    virtual void onSpecFillError(PageKey key) = 0;
 };
 
 /**
@@ -228,7 +209,7 @@ class PageCache
      * @param speculative readahead-issued (vs. explicit gmadvise):
      *        tags the frame kSpecFlag so eviction prefers it while
      *        unused, the fill rides the low-priority DMA lane, and the
-     *        SpecObserver hears about the page's fate
+     *        page's fate feeds back into the readahead stream table
      */
     PrefetchResult prefetchPage(sim::Warp& w, PageKey key,
                                 bool speculative = false)
@@ -236,8 +217,20 @@ class PageCache
         AP_TRANSITIONS("Absent->Loading", "Loading->Ready",
                        "Loading->Error");
 
-    /** Install the speculative-fill feedback sink (null detaches). */
-    void setSpecObserver(SpecObserver* obs) { specObs = obs; }
+    /**
+     * Adaptive readahead (DESIGN.md section 11): a demand fault on
+     * @p key, major or minor, was just serviced for the calling warp's
+     * subgroup. Advances the stream table (two issued instructions)
+     * and, when a stream crosses its marker, issues the throttled
+     * chunk through prefetchPage(..., true). Does nothing while
+     * readahead is off, and stands down under a postFetch hook:
+     * speculative fills complete host-side, where no warp exists to
+     * run it.
+     */
+    void readahead(sim::Warp& w, PageKey key) AP_LEADER_ONLY;
+
+    /** The readahead stream table (tests and diagnostics). */
+    const prefetch::StreamTable& streams() const { return streams_; }
 
     /** Host-mirrored count of free (never-evicting) frames. */
     size_t freeFrameCount() const { return freeFrames.size(); }
@@ -328,10 +321,10 @@ class PageCache
     uint32_t tryAllocFrame(sim::Warp& w) AP_ACQUIRES("pc.alloc");
 
     /**
-     * A speculative page met its fate on a warp path: clear kSpecFlag
-     * in @p fm (caller stores it back), count the stat, and tell the
-     * observer. @p hit distinguishes demand consumption from unused
-     * eviction; @p late marks a hit that arrived while still Loading.
+     * A speculative page met its fate on a warp path or at teardown:
+     * count the stat and feed the page's stream. @p hit distinguishes
+     * demand consumption from unused eviction; @p late marks a hit
+     * that arrived while still Loading.
      */
     void settleSpecPage(PageKey key, bool hit, bool late);
 
@@ -494,7 +487,6 @@ class PageCache
     Config cfg;
     PageTable pt;
     PageHooks hooks;
-    SpecObserver* specObs = nullptr;
     tenant::TenantRegistry* registry_ = nullptr;
 
     sim::Addr framesBase = 0;
@@ -534,6 +526,10 @@ class PageCache
 
     /** Resident-contiguity profiler fed by bind/unbind. */
     ContigProfiler contigProf;
+
+    /** Readahead streams: advanced by readahead(), fed each
+     * speculative page's fate by settleSpecPage and fill errors. */
+    prefetch::StreamTable streams_;
 };
 
 } // namespace ap::gpufs

@@ -4,7 +4,7 @@
  * can fail — a backing-store access, an engine transfer, a page-cache
  * fill, an apointer dereference that faults — reports one of these
  * instead of asserting, so injected I/O faults surface as recoverable
- * errors rather than aborts (ROADMAP: production-scale service).
+ * errors rather than aborts.
  */
 
 #ifndef AP_HOSTIO_IO_RESULT_HH

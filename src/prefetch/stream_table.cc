@@ -187,9 +187,8 @@ StreamTable::committed(int sid, uint32_t covered)
 }
 
 void
-StreamTable::onHit(hostio::FileId file, uint64_t page, bool late)
+StreamTable::onHit(hostio::FileId file, uint64_t page)
 {
-    (void)late;
     int sid = nearest(file, page);
     if (sid < 0)
         return;

@@ -56,7 +56,7 @@ struct Stream
     uint32_t conf = 0;
     /** Current window in pages; 0 until the stream confirms. */
     uint32_t window = 0;
-    /** Next page the prefetcher would issue. */
+    /** Next page readahead would issue. */
     uint64_t nextIssue = 0;
     /** Crossing this page triggers the next chunk (when armed). */
     uint64_t marker = 0;
@@ -96,7 +96,7 @@ class StreamTable
     void committed(int sid, uint32_t covered);
 
     /** Feedback: a speculative page was consumed by demand. */
-    void onHit(hostio::FileId file, uint64_t page, bool late);
+    void onHit(hostio::FileId file, uint64_t page);
 
     /** Feedback: a speculative page was wasted (evicted or poisoned). */
     void onThrash(hostio::FileId file, uint64_t page);

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "gpufs/gpufs.hh"
-#include "prefetch/prefetcher.hh"
 #include "tenant/tenant.hh"
 
 namespace ap::gpufs {
@@ -57,7 +56,8 @@ struct PathsFixture
     /**
      * The warp faults @p key as a unit: acquire, check the page's
      * first and last file bytes and its zeroed tail past EOF, release,
-     * then report the fault to the readahead prefetcher if one runs.
+     * then report the fault to the cache's readahead (off unless the
+     * test's config turns it on).
      * @return the acquire (its reference is already dropped)
      */
     AcquireResult
@@ -78,8 +78,7 @@ struct PathsFixture
             EXPECT_EQ(w.mem().load<uint8_t>(r.frameAddr + kPage - 1), 0);
         }
         cache().releasePage(w, key, 1);
-        if (pf)
-            pf->notifyFault(w, key, r.majorFault);
+        cache().readahead(w, key);
         return r;
     }
 
@@ -101,8 +100,6 @@ struct PathsFixture
     std::unique_ptr<sim::Device> dev;
     std::unique_ptr<hostio::HostIoEngine> io;
     std::unique_ptr<GpuFs> fs;
-    /** Readahead, when a test turns it on. */
-    std::unique_ptr<prefetch::Prefetcher> pf;
 };
 
 TEST(PageCachePaths, BucketOverflowEvictsCleanIdleEntries)
@@ -218,7 +215,6 @@ TEST(PageCachePaths, ReadaheadOutrunningTheCacheYieldsSpecVictims)
     cfg.readahead.enabled = true;
     cfg.readahead.maxWindow = 64;
     PathsFixture fx(cfg);
-    fx.pf = std::make_unique<prefetch::Prefetcher>(*fx.fs);
     // The last page is short: speculative fills zero its tail.
     constexpr uint64_t kPages = 128;
     hostio::FileId f = fx.makeFile("ra", (kPages - 1) * kPage + 1000);
@@ -247,6 +243,12 @@ TEST(PageCachePaths, ReadaheadOutrunningTheCacheYieldsSpecVictims)
                        {"gpufs.evictions", 47},
                        {"gpufs.major_faults", 51},
                        {"gpufs.minor_faults", 9}});
+    // The first stream's 19 unused guesses were evicted: each halved
+    // its window from 16 toward minWindow and held its ramp.
+    const prefetch::Stream& first = fx.cache().streams().stream(0);
+    EXPECT_EQ(first.lastPage, 11u);
+    EXPECT_EQ(first.window, 2u);
+    EXPECT_TRUE(first.noGrow);
 }
 
 TEST(PageCachePaths, TwoTenantsRefillCrossEvictAndTearDown)

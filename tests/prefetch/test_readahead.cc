@@ -5,11 +5,11 @@
  * @file
  * End-to-end tests for the adaptive readahead subsystem: a full stack
  * (device, host I/O, GPUfs, GvmRuntime) with Config::readahead.enabled,
- * driven through apointers so the prefetcher sees the real
- * warp-aggregated fault stream. Covers the win on sequential scans,
- * quiescence on random access, throttling under frame pressure,
- * poisoned speculative fills, eviction preference, determinism, and a
- * simcheck-armed run.
+ * driven through apointers so readahead sees the real warp-aggregated
+ * fault stream. Covers the win on sequential scans, quiescence on
+ * random access, throttling under frame pressure, poisoned speculative
+ * fills, the stand-down under a postFetch hook, eviction preference,
+ * determinism, and a simcheck-armed run.
  */
 
 #include <gtest/gtest.h>
@@ -237,28 +237,63 @@ TEST(Readahead, ThrottleHoldsSpeculationUnderFramePressure)
 
 TEST(Readahead, PoisonedSpeculativeFillDoesNotBlockDemand)
 {
-    const uint64_t pages = 16;
+    const uint64_t pages = 24;
     RaFixture fx;
     hostio::FileId f = fx.makeWordFile("seq", pages * kWordsPerPage);
     hostio::FaultInjector inj;
-    // Reads of the file's second half fail persistently: the stream
-    // speculates into the bad range, the app never demands it.
-    inj.failReads(f, 8 * 4096, 8 * 4096);
+    // Reads of the file's last four pages fail persistently: the
+    // stream speculates into the bad range, the app never demands it.
+    inj.failReads(f, 20 * 4096, 4 * 4096);
     fx.io->setFaultInjector(&inj);
 
-    std::vector<uint64_t> order = seqOrder(8);
+    std::vector<uint64_t> order = seqOrder(20);
     ScanResult r = scanPages(fx, f, pages, order);
     EXPECT_EQ(r.sum, expectedSum(order));
     EXPECT_GT(fx.counter("prefetch.issued"), 0u);
+    EXPECT_EQ(fx.counter("pagecache.fill_errors"), 4u);
+
+    // The crossing at page 11 issued pages 15..23 at window 16. The
+    // four poisoned fills halve it to 2 and hold the ramp; the demand
+    // hit on page 19, the last good guess, re-arms growth, so the
+    // crossing at page 19 doubles it to 4. Without the fill-error
+    // feedback the window would be 32; without the hit feedback the
+    // crossing would hold it at 2.
+    const prefetch::Stream& s = fx.fs->cache().streams().stream(0);
+    EXPECT_EQ(s.lastPage, 19u);
+    EXPECT_EQ(s.window, 4u);
 
     // A later demand fault on a poisoned page drains the Error entry
     // and surfaces the failure instead of hanging on the speculative
     // fill.
     fx.dev->launch(1, 1, [&](sim::Warp& w) {
         gpufs::AcquireResult a = fx.fs->cache().acquirePage(
-            w, gpufs::makePageKey(f, 8), 1, false);
+            w, gpufs::makePageKey(f, 20), 1, false);
         EXPECT_FALSE(a.ok());
     });
+}
+
+TEST(Readahead, StandsDownUnderPostFetchHook)
+{
+    // Speculative fills complete host-side, where no warp exists to
+    // run a postFetch hook (the CryptFS decrypt step). Readahead stands
+    // down while one is installed, so every page demand-faults through
+    // the hook instead of aborting the run.
+    const uint64_t pages = 64;
+    uint64_t hooked = 0; // outlives the cache that holds the hook
+    RaFixture fx;
+    hostio::FileId f = fx.makeWordFile("seq", pages * kWordsPerPage);
+    gpufs::PageHooks hooks;
+    hooks.postFetch = [&](sim::Warp&, gpufs::PageKey, sim::Addr, size_t) {
+        ++hooked;
+    };
+    fx.fs->cache().setHooks(hooks);
+
+    std::vector<uint64_t> order = seqOrder(pages);
+    ScanResult r = scanPages(fx, f, pages, order);
+    EXPECT_EQ(r.sum, expectedSum(order));
+    EXPECT_EQ(fx.counter("gpufs.major_faults"), pages);
+    EXPECT_EQ(fx.counter("prefetch.issued"), 0u);
+    EXPECT_EQ(hooked, pages);
 }
 
 TEST(Readahead, EvictionPrefersUnusedSpeculativePages)

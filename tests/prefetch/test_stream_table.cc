@@ -231,7 +231,7 @@ TEST(StreamTable, HitEndsThrashProbation)
     t.committed(d.sid, d.count);
     t.onThrash(1, 4);
     EXPECT_TRUE(t.stream(d.sid).noGrow);
-    t.onHit(1, 5, false); // a guess was consumed after all
+    t.onHit(1, 5); // a guess was consumed after all
     EXPECT_FALSE(t.stream(d.sid).noGrow);
 }
 
