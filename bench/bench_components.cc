@@ -8,6 +8,9 @@
  * performance regressions.
  */
 
+#include <memory>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "core/vm.hh"
@@ -37,6 +40,38 @@ BM_EngineEvent(benchmark::State& state)
     }
 }
 BENCHMARK(BM_EngineEvent);
+
+void
+BM_EngineFiberWake(benchmark::State& state)
+{
+    // The engine's common event: a warp fiber waking from waitUntil
+    // (BM_EngineEvent times only host callbacks, under 1% of the events
+    // a workload dispatches). Each round starts N fibers; each waits one
+    // cycle 64 times, then blocks until the next round. Items are the
+    // dispatched wake-ups, the start included.
+    constexpr int kWaits = 64;
+    const auto n = static_cast<size_t>(state.range(0));
+    sim::Engine eng;
+    std::vector<std::unique_ptr<sim::Fiber>> fibers;
+    for (size_t i = 0; i < n; ++i)
+        fibers.push_back(std::make_unique<sim::Fiber>([&eng] {
+            for (;;) {
+                for (int k = 0; k < kWaits; ++k)
+                    eng.waitUntil(eng.now() + 1);
+                eng.block();
+            }
+        }));
+    for (auto _ : state) {
+        for (auto& f : fibers)
+            eng.scheduleFiber(eng.now(), f.get());
+        eng.run();
+        benchmark::DoNotOptimize(eng.now());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(n * (kWaits + 1)));
+}
+// 832 is apbench hitpath's warp count.
+BENCHMARK(BM_EngineFiberWake)->Arg(64)->Arg(832);
 
 void
 BM_GlobalMemoryLoadStore(benchmark::State& state)

@@ -17,13 +17,16 @@
 # harness and the gated bench binaries re-run with --json and diffed
 # against the committed BENCH_*.json baselines via `apstat diff`.
 #
-# The failure-semantics tests (ctest label `fault`: injector, retry/
+# The end-to-end tests (ctest label `integration`: the full stack, and
+# the bench_table1_latency run diffed against BENCH_table1.json), the
+# failure-semantics tests (ctest label `fault`: injector, retry/
 # backoff, fill-error propagation), the readahead tests (ctest label
 # `prefetch`: stream detection, window adaptation, throttle,
 # speculative-page lifecycle, and the bench_prefetch run diffed
 # against BENCH_prefetch.json), and the observability tests (ctest
 # label `obs`: fault-path recorder, latency histograms, stats export,
-# apstat incl. its diff mode), the serving-harness tests (ctest label
+# apstat incl. its diff mode, and the bench_fig7_tlb run diffed
+# against BENCH_fig7_tlb.json), the serving-harness tests (ctest label
 # `serving`: arrivals, admission control, validation, JSON byte
 # determinism), the multi-tenant QoS tests (ctest label `tenant`:
 # ASID registry, DRR host-IO split, eviction isolation + reclaim

@@ -8,9 +8,10 @@
 #ifndef AP_SIM_ENGINE_HH
 #define AP_SIM_ENGINE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <queue>
+#include <memory>
 #include <vector>
 
 #include "sim/check/simcheck.hh"
@@ -24,6 +25,9 @@ namespace ap::sim {
 /**
  * A deterministic discrete-event scheduler. Events at equal timestamps
  * fire in insertion order, so runs are bit-reproducible.
+ *
+ * Almost every event is a warp wake-up, so a wake-up is a bare Fiber*
+ * in the heap entry; only host callbacks carry a boxed std::function.
  */
 class Engine
 {
@@ -48,7 +52,7 @@ class Engine
                 c();
             };
         }
-        scheduleRaw(when, std::move(cb));
+        scheduleRaw(when, nullptr, std::make_unique<Callback>(std::move(cb)));
     }
 
     /** Schedule a fiber resume at time max(when, now()). */
@@ -59,11 +63,7 @@ class Engine
         // to the wakee; self-reschedules (waitUntil) carry no new edge.
         if (check::SimCheck::armed && Fiber::current() != f)
             check::SimCheck::get().edgeToFiber(f);
-        scheduleRaw(when, [f] {
-            if (check::SimCheck::armed)
-                check::SimCheck::get().fiberResuming(f);
-            f->resume();
-        });
+        scheduleRaw(when, f, nullptr);
     }
 
     /**
@@ -98,11 +98,20 @@ class Engine
     run()
     {
         while (!queue.empty()) {
-            Event ev = queue.top();
-            queue.pop();
+            // Move the event out before it runs: what it schedules may
+            // reallocate the queue.
+            std::pop_heap(queue.begin(), queue.end(), later);
+            Event ev = std::move(queue.back());
+            queue.pop_back();
             AP_ASSERT(ev.when >= curTime, "time went backwards");
             curTime = ev.when;
-            ev.cb();
+            if (ev.fiber) {
+                if (check::SimCheck::armed)
+                    check::SimCheck::get().fiberResuming(ev.fiber);
+                ev.fiber->resume();
+            } else {
+                (*ev.cb)();
+            }
         }
     }
 
@@ -110,31 +119,35 @@ class Engine
     bool idle() const { return queue.empty(); }
 
   private:
-    /** Enqueue with no instrumentation (internal). */
-    void
-    scheduleRaw(Cycles when, Callback cb)
-    {
-        if (when < curTime)
-            when = curTime;
-        queue.push(Event{when, nextSeq++, std::move(cb)});
-    }
-
+    /** One heap entry: a fiber to resume, or else a host callback. */
     struct Event
     {
         Cycles when;
         uint64_t seq;
-        Callback cb;
-
-        bool
-        operator>(const Event& o) const
-        {
-            if (when != o.when)
-                return when > o.when;
-            return seq > o.seq;
-        }
+        Fiber* fiber;
+        std::unique_ptr<Callback> cb;
     };
 
-    std::priority_queue<Event, std::vector<Event>, std::greater<>> queue;
+    /** Heap order: @p a fires after @p b. (when, seq) is a total order. */
+    static bool
+    later(const Event& a, const Event& b)
+    {
+        if (a.when != b.when)
+            return a.when > b.when;
+        return a.seq > b.seq;
+    }
+
+    /** Enqueue with no instrumentation (internal). */
+    void
+    scheduleRaw(Cycles when, Fiber* f, std::unique_ptr<Callback> cb)
+    {
+        if (when < curTime)
+            when = curTime;
+        queue.push_back(Event{when, nextSeq++, f, std::move(cb)});
+        std::push_heap(queue.begin(), queue.end(), later);
+    }
+
+    std::vector<Event> queue; ///< binary min-heap on (when, seq)
     Cycles curTime = 0;
     uint64_t nextSeq = 0;
 };

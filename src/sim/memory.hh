@@ -8,9 +8,10 @@
 #ifndef AP_SIM_MEMORY_HH
 #define AP_SIM_MEMORY_HH
 
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <type_traits>
-#include <vector>
 
 #include "sim/check/simcheck.hh"
 #include "sim/cost_model.hh"
@@ -26,6 +27,11 @@ namespace ap::sim {
  * on the backing array; timing methods reserve DRAM bandwidth and apply
  * load latency. Address 0 is reserved so that 0 can act as a null
  * aphysical address.
+ *
+ * The array reads zero until written, and the page table relies on it.
+ * It comes from calloc, so a large array is a fresh anonymous mapping
+ * that the OS zeroes on first touch: pages a run never touches are
+ * never committed.
  */
 class GlobalMemory
 {
@@ -35,13 +41,16 @@ class GlobalMemory
      * @param cm    timing constants
      */
     GlobalMemory(size_t bytes, const CostModel& cm)
-        : store_(bytes, 0), bw(cm.memBytesPerCycle), latency(cm.memLatency),
+        : store_(static_cast<uint8_t*>(std::calloc(bytes, 1))),
+          capacity(bytes), bw(cm.memBytesPerCycle), latency(cm.memLatency),
           segmentBytes(cm.memSegmentBytes)
     {
+        if (!store_)
+            fatal("cannot allocate ", bytes, " bytes of device memory");
     }
 
     /** Capacity in bytes. */
-    size_t size() const { return store_.size(); }
+    size_t size() const { return capacity; }
 
     /**
      * Identity of this memory instance for the simcheck shadow. Serials
@@ -62,9 +71,9 @@ class GlobalMemory
     {
         AP_ASSERT(isPowerOf2(align), "alignment must be a power of two");
         Addr base = roundUp(brk, align);
-        if (base + bytes > store_.size())
+        if (base + bytes > capacity)
             fatal("device memory exhausted: need ", bytes, " bytes at ",
-                  base, ", capacity ", store_.size());
+                  base, ", capacity ", capacity);
         brk = base + bytes;
         return base;
     }
@@ -78,12 +87,12 @@ class GlobalMemory
     load(Addr a) const
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        AP_ASSERT(a + sizeof(T) <= store_.size(),
+        AP_ASSERT(a + sizeof(T) <= capacity,
                   "device load out of bounds at ", a);
         if (check::SimCheck::armed)
             check::SimCheck::get().onRead(checkMemId, a, sizeof(T));
         T v;
-        std::memcpy(&v, store_.data() + a, sizeof(T));
+        std::memcpy(&v, store_.get() + a, sizeof(T));
         return v;
     }
 
@@ -93,26 +102,26 @@ class GlobalMemory
     store(Addr a, const T& v)
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        AP_ASSERT(a + sizeof(T) <= store_.size(),
+        AP_ASSERT(a + sizeof(T) <= capacity,
                   "device store out of bounds at ", a);
         if (check::SimCheck::armed)
             check::SimCheck::get().onWrite(checkMemId, a, sizeof(T));
-        std::memcpy(store_.data() + a, &v, sizeof(T));
+        std::memcpy(store_.get() + a, &v, sizeof(T));
     }
 
     /** Raw pointer into the backing array (for DMA-style block copies). */
     uint8_t*
     raw(Addr a, size_t len)
     {
-        AP_ASSERT(a + len <= store_.size(), "raw range out of bounds");
-        return store_.data() + a;
+        AP_ASSERT(a + len <= capacity, "raw range out of bounds");
+        return store_.get() + a;
     }
 
     const uint8_t*
     raw(Addr a, size_t len) const
     {
-        AP_ASSERT(a + len <= store_.size(), "raw range out of bounds");
-        return store_.data() + a;
+        AP_ASSERT(a + len <= capacity, "raw range out of bounds");
+        return store_.get() + a;
     }
 
     /**
@@ -175,7 +184,13 @@ class GlobalMemory
     }
 
   private:
-    std::vector<uint8_t> store_;
+    struct Free
+    {
+        void operator()(uint8_t* p) const { std::free(p); }
+    };
+
+    std::unique_ptr<uint8_t[], Free> store_;
+    size_t capacity;
     Addr brk = 64;
     BwServer bw;
     Cycles latency;

@@ -1,3 +1,6 @@
+#include <algorithm>
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "sim/cost_model.hh"
@@ -35,6 +38,36 @@ TEST(Memory, AllocNeverReturnsNull)
 {
     GlobalMemory m(1 << 20, cm());
     EXPECT_NE(m.alloc(8, 1), 0u);
+}
+
+TEST(Memory, FreshMemoryReadsZero)
+{
+    // The page table relies on this: its slots start empty because
+    // device memory reads zero until written.
+    constexpr size_t kBytes = size_t{64} << 20;
+    constexpr size_t kMiB = size_t{1} << 20;
+    constexpr size_t kPage = 4096;
+    GlobalMemory m(kBytes, cm());
+    Addr first = m.alloc(8, 8);
+    EXPECT_EQ(m.load<uint64_t>(first), 0u);
+    for (Addr a = kMiB; a < kBytes; a += kMiB)
+        EXPECT_EQ(m.load<uint64_t>(a), 0u) << "at " << a;
+    EXPECT_EQ(m.load<uint64_t>(kBytes - 8), 0u);
+    auto isZero = [](uint8_t b) { return b == 0; };
+    const uint8_t* page = m.raw(kMiB, kPage);
+    EXPECT_TRUE(std::all_of(page, page + kPage, isZero));
+
+    // So does a memory built on a block that a dirtied one just freed:
+    // the allocator may hand the same bytes out again.
+    for (int round = 0; round < 3; ++round) {
+        GlobalMemory small(kMiB, cm());
+        uint8_t* all = small.raw(0, kMiB);
+        EXPECT_TRUE(std::all_of(all, all + kMiB, isZero)) << "round "
+                                                          << round;
+        // Read the dirt back, so the compiler keeps the memset.
+        std::memset(all, 0xa5, kMiB);
+        EXPECT_EQ(std::count(all, all + kMiB, 0xa5), std::ptrdiff_t(kMiB));
+    }
 }
 
 TEST(Memory, ReadTimingIncludesLatencyAndBandwidth)
