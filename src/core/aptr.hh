@@ -72,10 +72,9 @@ class AptrVec
             w.stats().inc("core.gvmmap_errors");
             return p;
         }
-        const size_t page = rt.pageSize();
         if (rt.config().kind == AptrKind::Short) {
             // Short apointers reach 2^28 file pages (section IV-B).
-            AP_ASSERT(fitsBits((f_offset + length - 1) / page,
+            AP_ASSERT(fitsBits((f_offset + length - 1) / kPage,
                                kShortXpageWidth),
                       "file too large for short apointers");
         } else {
@@ -128,13 +127,13 @@ class AptrVec
      * "apointers initialized to map a region in the GPU global memory
      * ... calls to the GPUfs layer are excluded". Faults still run the
      * full aggregation and translation logic, but resolve to
-     * base + page * pageSize with no reference counting.
+     * base + page * kPageBytes with no reference counting.
      */
     static AptrVec
     mapDirect(sim::Warp& w, GvmRuntime& rt, sim::Addr base,
               uint64_t length, uint64_t perm) AP_LOCKSTEP
     {
-        AP_ASSERT(base % rt.pageSize() == 0,
+        AP_ASSERT(base % kPage == 0,
                   "direct mapping must be page aligned");
         AptrVec p;
         p.rt_ = &rt;
@@ -185,11 +184,10 @@ class AptrVec
     fileOffset(int lane) const
     {
         const uint64_t t = field[lane];
-        const uint64_t page = rt_->pageSize();
         if (rt_->config().kind == AptrKind::Short)
-            return shortXpage(t) * page + shortOff(t);
+            return shortXpage(t) * kPage + shortOff(t);
         if (translationValid(t))
-            return curXpage[lane] * page + longPayload(t) % page;
+            return curXpage[lane] * kPage + longPayload(t) % kPage;
         return longPayload(t);
     }
 
@@ -347,14 +345,16 @@ class AptrVec
     hostio::FileId backingFile() const { return file; }
 
   private:
+    /** Page size; a constant, so lane math shifts and masks. */
+    static constexpr uint64_t kPage = gpufs::kPageBytes;
+
     /** Pack an unlinked translation at absolute file offset @p off. */
     uint64_t
     packUnlinked(uint64_t off) const
     {
         if (rt_->config().kind == AptrKind::Short) {
-            const uint64_t page = rt_->pageSize();
-            return packShort(0, off / page,
-                             static_cast<uint32_t>(off % page), perm,
+            return packShort(0, off / kPage,
+                             static_cast<uint32_t>(off % kPage), perm,
                              false);
         }
         return packLongUnlinked(off, perm, asid_);
@@ -368,13 +368,12 @@ class AptrVec
     packLinked(sim::Addr frame_addr, uint64_t xpage, uint32_t off) const
     {
         if (rt_->config().kind == AptrKind::Short) {
-            const uint64_t page = rt_->pageSize();
             // Frame numbers are relative to the page-cache frame array,
             // or to the mapping base for direct mappings.
             sim::Addr frame0 =
                 isDirect() ? directBase : rt_->fs().cache().frameAddr(0);
             uint32_t frame =
-                static_cast<uint32_t>((frame_addr - frame0) / page);
+                static_cast<uint32_t>((frame_addr - frame0) / kPage);
             return packShort(frame, xpage, off, perm, true);
         }
         return packLongLinked(frame_addr + off, perm, asid_);
@@ -385,7 +384,6 @@ class AptrVec
     aphysAddrs() const
     {
         sim::LaneArray<sim::Addr> a{};
-        const uint64_t page = rt_->pageSize();
         const sim::Addr frame0 =
             isDirect() ? directBase : rt_->fs().cache().frameAddr(0);
         for (int l = 0; l < sim::kWarpSize; ++l) {
@@ -393,7 +391,7 @@ class AptrVec
             if (!translationValid(t))
                 continue;
             if (rt_->config().kind == AptrKind::Short)
-                a[l] = frame0 + shortFrame(t) * page + shortOff(t);
+                a[l] = frame0 + shortFrame(t) * kPage + shortOff(t);
             else
                 a[l] = longPayload(t);
         }
@@ -448,7 +446,6 @@ class AptrVec
     {
         const AptrCosts& c = rt_->costs();
         gpufs::PageCache& cache = rt_->fs().cache();
-        const uint64_t page = rt_->pageSize();
         const bool writable = (perm & kPermWrite) != 0;
         w.stats().inc("core.fault_entries");
 
@@ -473,7 +470,7 @@ class AptrVec
             // the subgroup of lanes faulting on the same page.
             sim::LaneArray<uint64_t> xpage;
             for (int l = 0; l < sim::kWarpSize; ++l)
-                xpage[l] = fileOffset(l) / page;
+                xpage[l] = fileOffset(l) / kPage;
             uint64_t lead_xpage = w.shfl(xpage, leader);
             sim::LaneArray<int> same;
             for (int l = 0; l < sim::kWarpSize; ++l)
@@ -501,13 +498,13 @@ class AptrVec
 
             if (isDirect()) {
                 // Raw-memory mapping: translate without the page cache.
-                sim::Addr frame_addr = directBase + lead_xpage * page;
+                sim::Addr frame_addr = directBase + lead_xpage * kPage;
                 w.issue(c.faultLink);
                 for (int l = 0; l < sim::kWarpSize; ++l) {
                     if (!(group & (1u << l)))
                         continue;
                     uint32_t off =
-                        static_cast<uint32_t>(fileOffset(l) % page);
+                        static_cast<uint32_t>(fileOffset(l) % kPage);
                     field[l] = packLinked(frame_addr, lead_xpage, off);
                     curXpage[l] = lead_xpage;
                     refViaTlb[l] = 0;
@@ -559,7 +556,7 @@ class AptrVec
                 if (!(group & (1u << l)))
                     continue;
                 uint32_t off =
-                    static_cast<uint32_t>(fileOffset(l) % page);
+                    static_cast<uint32_t>(fileOffset(l) % kPage);
                 field[l] = packLinked(frame_addr, lead_xpage, off);
                 curXpage[l] = lead_xpage;
                 refViaTlb[l] = via_tlb ? 1 : 0;
@@ -599,17 +596,16 @@ class AptrVec
         const AptrCosts& c = rt_->costs();
         gpufs::PageCache& cache = rt_->fs().cache();
         SoftTlb* tlb = rt_->tlbFor(w);
-        const uint64_t page = rt_->pageSize();
 
         while (lanes) {
             int leader = sim::ffs32(lanes) - 1;
-            uint64_t lead_xpage = fileOffset(leader) / page;
+            uint64_t lead_xpage = fileOffset(leader) / kPage;
             bool via = refViaTlb[leader] != 0;
             sim::LaneMask group = 0;
             for (int l = 0; l < sim::kWarpSize; ++l) {
                 if (!(lanes & (1u << l)))
                     continue;
-                if (fileOffset(l) / page == lead_xpage &&
+                if (fileOffset(l) / kPage == lead_xpage &&
                     (refViaTlb[l] != 0) == via)
                     group |= 1u << l;
             }
@@ -643,7 +639,6 @@ class AptrVec
     {
         AP_ASSERT(initialized(), "arithmetic on uninitialized apointer");
         const AptrCosts& c = rt_->costs();
-        const uint64_t page = rt_->pageSize();
         w.issue(c.increment);
 
         // Identify linked lanes whose new position leaves their page.
@@ -656,7 +651,7 @@ class AptrVec
                 continue;
             new_off[l] = off + static_cast<uint64_t>(delta[l]);
             if (translationValid(field[l]) &&
-                new_off[l] / page != off / page)
+                new_off[l] / kPage != off / kPage)
                 crossing |= 1u << l;
         }
 
@@ -667,7 +662,7 @@ class AptrVec
         }
 
         for (int l = 0; l < sim::kWarpSize; ++l) {
-            if (!(mask & (1u << l)) || new_off[l] == fileOffset(l))
+            if (!(mask & (1u << l)) || delta[l] == 0)
                 continue;
             if (crossing & (1u << l)) {
                 field[l] = packUnlinked(new_off[l]);
@@ -676,7 +671,7 @@ class AptrVec
                 if (rt_->config().kind == AptrKind::Short) {
                     field[l] = packShort(
                         shortFrame(field[l]), shortXpage(field[l]),
-                        static_cast<uint32_t>(new_off[l] % page), perm,
+                        static_cast<uint32_t>(new_off[l] % kPage), perm,
                         true);
                 } else {
                     uint64_t aphys =

@@ -12,9 +12,14 @@
 
 #include "core/access_mode.hh"
 #include "core/tlb.hh"
+#include "core/translation.hh"
 #include "gpufs/gpufs.hh"
 
 namespace ap::core {
+
+// A short translation keeps the in-page offset in its low field.
+static_assert(gpufs::kPageBytes == uint64_t{1} << kShortOffWidth,
+              "short apointer layout assumes the page size");
 
 /** Translation-layer policy knobs. */
 struct GvmConfig
@@ -52,8 +57,6 @@ class GvmRuntime
     GvmRuntime(gpufs::GpuFs& fs, const GvmConfig& cfg = GvmConfig{})
         : fs_(&fs), cfg_(cfg), costs_(costsFor(cfg.mode, cfg.kind))
     {
-        AP_ASSERT(fs.pageSize() == 4096,
-                  "short apointer layout assumes 4 KB pages");
     }
 
     /** The GPUfs layer. */
@@ -64,9 +67,6 @@ class GvmRuntime
 
     /** Instruction-cost table for the configured mode/kind. */
     const AptrCosts& costs() const { return costs_; }
-
-    /** Page size of the backing page cache. */
-    size_t pageSize() const { return fs_->pageSize(); }
 
     /**
      * The calling warp's threadblock TLB; created lazily on first use.
@@ -146,8 +146,8 @@ class GvmRuntime
         if (swapFile < 0) {
             swapFile = bs.create(".gvm_swap", 0);
         }
-        uint64_t off = roundUp(bs.size(swapFile), fs_->pageSize());
-        bs.truncate(swapFile, off + roundUp(bytes, fs_->pageSize()));
+        uint64_t off = roundUp(bs.size(swapFile), gpufs::kPageBytes);
+        bs.truncate(swapFile, off + roundUp(bytes, gpufs::kPageBytes));
         return off;
     }
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * GPUfs page-cache configuration, defaults per paper section V:
- * 4 KB pages, a hash table 16x the number of frames, fine-grain
- * per-bucket locks, and host-side transfer batching.
+ * 4 KB pages (kPageBytes), a hash table 16x the number of frames,
+ * fine-grain per-bucket locks, and host-side transfer batching.
  */
 
 #ifndef AP_GPUFS_CONFIG_HH
@@ -61,12 +61,15 @@ struct ReadaheadConfig
     uint32_t maxQueueDepth = 48;
 };
 
+/**
+ * Page size in bytes. The paper uses 4 KB throughout, and the short
+ * apointer layout's 12-bit offset field fixes it (core/runtime.hh).
+ */
+inline constexpr size_t kPageBytes = 4096;
+
 /** Page-cache geometry and policy knobs. */
 struct Config
 {
-    /** Page size in bytes (the paper uses 4 KB throughout). */
-    size_t pageSize = 4096;
-
     /** Number of page frames in the GPU page cache. */
     uint32_t numFrames = 4096;
 

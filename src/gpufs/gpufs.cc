@@ -11,9 +11,9 @@ GpuFs::transfer(sim::Warp& w, hostio::FileId f, uint64_t off, size_t len,
     size_t done = 0;
     while (done < len) {
         uint64_t cur = off + done;
-        uint64_t page_no = cur / pageSize();
-        size_t in_page = cur % pageSize();
-        size_t chunk = std::min(len - done, pageSize() - in_page);
+        uint64_t page_no = cur / kPageBytes;
+        size_t in_page = cur % kPageBytes;
+        size_t chunk = std::min(len - done, kPageBytes - in_page);
 
         PageKey key = makePageKey(w.tenant(), f, page_no);
         AcquireResult r = cache_.acquirePage(w, key, 1, write);

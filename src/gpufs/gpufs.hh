@@ -33,8 +33,8 @@ class GpuFs
     {
     }
 
-    /** Page size in force. */
-    size_t pageSize() const { return cache_.config().pageSize; }
+    /** Page size (the one gpufs::kPageBytes). */
+    static constexpr size_t pageSize() { return kPageBytes; }
 
     /**
      * Device-side open: an RPC to the host file system.
@@ -66,7 +66,7 @@ class GpuFs
     gmmap(sim::Warp& w, hostio::FileId f, uint64_t offset, uint32_t prot,
           hostio::IoStatus* status = nullptr) AP_ELECTS_LEADER AP_YIELDS
     {
-        uint64_t page_no = offset / pageSize();
+        uint64_t page_no = offset / kPageBytes;
         AcquireResult r = cache_.acquirePage(
             w, makePageKey(w.tenant(), f, page_no), 1,
             (prot & hostio::O_GWRONLY) != 0);
@@ -74,7 +74,7 @@ class GpuFs
             *status = r.status;
         if (!r.ok())
             return 0;
-        return r.frameAddr + offset % pageSize();
+        return r.frameAddr + offset % kPageBytes;
     }
 
     /** Drop the reference taken by gmmap on @p offset's page. */
@@ -83,7 +83,7 @@ class GpuFs
         AP_ELECTS_LEADER
     {
         cache_.releasePage(
-            w, makePageKey(w.tenant(), f, offset / pageSize()), 1);
+            w, makePageKey(w.tenant(), f, offset / kPageBytes), 1);
     }
 
     /**
@@ -127,8 +127,8 @@ class GpuFs
     gmadvise(sim::Warp& w, hostio::FileId f, uint64_t off, size_t len)
         AP_ELECTS_LEADER
     {
-        uint64_t first = off / pageSize();
-        uint64_t last = (off + len - 1) / pageSize();
+        uint64_t first = off / kPageBytes;
+        uint64_t last = (off + len - 1) / kPageBytes;
         uint64_t dropped = 0;
         for (uint64_t p = first; p <= last; ++p) {
             PrefetchResult r = cache_.prefetchPage(

@@ -45,12 +45,12 @@ PageCache::PageCache(sim::Device& dev_, hostio::HostIoEngine& io_,
       streams_(cfg_.readahead)
 {
     framesBase = dev->mem().alloc(
-        static_cast<size_t>(cfg.numFrames) * cfg.pageSize, cfg.pageSize);
+        static_cast<size_t>(cfg.numFrames) * kPageBytes, kPageBytes);
     metaBase =
         dev->mem().alloc(cfg.numFrames * sizeof(FrameMeta), 128);
     stagingBase = dev->mem().alloc(
-        static_cast<size_t>(cfg.stagingSlots) * cfg.pageSize,
-        cfg.pageSize);
+        static_cast<size_t>(cfg.stagingSlots) * kPageBytes,
+        kPageBytes);
 
     freeFrames.reserve(cfg.numFrames);
     for (uint32_t f = cfg.numFrames; f-- > 0;)
@@ -156,22 +156,22 @@ PageCache::PageSpan
 PageCache::span(PageKey key) const
 {
     const hostio::FileId f = pageKeyFile(key);
-    const uint64_t off = pageKeyPageNo(key) * cfg.pageSize;
+    const uint64_t off = pageKeyPageNo(key) * kPageBytes;
     const size_t size = io->store().valid(f) ? io->store().size(f) : 0;
     return {f, off,
-            off < size ? std::min<size_t>(cfg.pageSize, size - off) : 0};
+            off < size ? std::min<size_t>(kPageBytes, size - off) : 0};
 }
 
 void
 PageCache::zeroTail(sim::Addr fa, size_t len)
 {
-    if (len == cfg.pageSize)
+    if (len == kPageBytes)
         return;
     if (SimCheck::armed)
         SimCheck::get().onWrite(dev->mem().checkMemId, fa + len,
-                                cfg.pageSize - len);
-    std::memset(dev->mem().raw(fa + len, cfg.pageSize - len), 0,
-                cfg.pageSize - len);
+                                kPageBytes - len);
+    std::memset(dev->mem().raw(fa + len, kPageBytes - len), 0,
+                kPageBytes - len);
 }
 
 bool
@@ -482,7 +482,7 @@ PageCache::acquirePage(sim::Warp& w, PageKey key, int count, bool writable,
         if (zero_fill && !swappedOut.count(key)) {
             // Anonymous first touch: a zeroed frame, no host transfer.
             zeroTail(frameAddr(frame), 0);
-            w.chargeGlobalWrite(static_cast<double>(cfg.pageSize));
+            w.chargeGlobalWrite(static_cast<double>(kPageBytes));
             dev->stats().inc("gpufs.zero_fills");
         } else {
             fill = fetchPage(w, key, frame);
@@ -937,7 +937,7 @@ PageCache::fetchPage(sim::Warp& w, PageKey key, uint32_t frame)
 
     uint32_t slot = grabStagingSlot(w);
     sim::Addr sa =
-        stagingBase + static_cast<sim::Addr>(slot) * cfg.pageSize;
+        stagingBase + static_cast<sim::Addr>(slot) * kPageBytes;
     hostio::IoStatus st = io->readToGpu(w, sp.file, sp.off, sp.len, sa);
     if (st != hostio::IoStatus::Ok) {
         releaseStagingSlot(w, slot);

@@ -158,7 +158,7 @@ class PageCache
     sim::Addr
     frameAddr(uint32_t frame) const
     {
-        return framesBase + static_cast<sim::Addr>(frame) * cfg.pageSize;
+        return framesBase + static_cast<sim::Addr>(frame) * kPageBytes;
     }
 
     /**

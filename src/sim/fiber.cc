@@ -118,10 +118,13 @@ struct SwitchFrame
 };
 static_assert(sizeof(SwitchFrame) == 72, "must match the pushes above");
 
-// Bounds of the stack resume() runs on, learned on a fiber's first
-// entry; every switch out of a fiber lands there. Only ASan reads them.
+// Bounds of the stack resume() runs on; every yield and every finished
+// fiber lands there. A fiber may be entered from another fiber's stack
+// (handoff), so only a switch that resume() flagged teaches them. Only
+// ASan reads them.
 thread_local const void* schedBottom = nullptr;
 thread_local size_t schedSize = 0;
+[[maybe_unused]] thread_local bool enteringFromScheduler = false;
 
 /** Tell ASan the thread is about to run on [bottom, bottom + size). */
 void
@@ -134,14 +137,34 @@ asanStartSwitch([[maybe_unused]] void** fakeStackSave,
 #endif
 }
 
-/** Tell ASan a switch landed; optionally learn the stack it left. */
+/** asanStartSwitch for resume(): the landing fiber learns this stack. */
 void
-asanFinishSwitch([[maybe_unused]] void* fakeStackSave,
-                 [[maybe_unused]] const void** fromBottom,
-                 [[maybe_unused]] size_t* fromSize)
+asanEnterFromScheduler([[maybe_unused]] void** fakeStackSave,
+                       [[maybe_unused]] const void* bottom,
+                       [[maybe_unused]] size_t size)
 {
 #ifdef AP_FIBER_ASAN
-    __sanitizer_finish_switch_fiber(fakeStackSave, fromBottom, fromSize);
+    enteringFromScheduler = true;
+    __sanitizer_start_switch_fiber(fakeStackSave, bottom, size);
+#endif
+}
+
+/**
+ * Tell ASan a switch landed. After a switch resume() flagged, the stack
+ * it left is the scheduler's: remember its bounds.
+ */
+void
+asanFinishSwitch([[maybe_unused]] void* fakeStackSave)
+{
+#ifdef AP_FIBER_ASAN
+    const void* bottom = nullptr;
+    size_t size = 0;
+    __sanitizer_finish_switch_fiber(fakeStackSave, &bottom, &size);
+    if (enteringFromScheduler) {
+        schedBottom = bottom;
+        schedSize = size;
+        enteringFromScheduler = false;
+    }
 #endif
 }
 
@@ -177,7 +200,7 @@ Fiber::Fiber(Fn fn_, size_t stackBytes_)
 void
 Fiber::trampoline(Fiber* f)
 {
-    asanFinishSwitch(nullptr, &schedBottom, &schedSize);
+    asanFinishSwitch(nullptr);
     f->fn();
     f->done = true;
     current_ = nullptr;
@@ -194,9 +217,9 @@ Fiber::resume()
     AP_ASSERT(current_ == nullptr, "resume from inside a fiber");
     current_ = this;
     void* fakeStack = nullptr;
-    asanStartSwitch(&fakeStack, stack.get(), stackBytes);
+    asanEnterFromScheduler(&fakeStack, stack.get(), stackBytes);
     ap_sim_fiber_switch(&retSp, selfSp);
-    asanFinishSwitch(fakeStack, nullptr, nullptr);
+    asanFinishSwitch(fakeStack);
     current_ = nullptr;
 }
 
@@ -208,7 +231,22 @@ Fiber::yield()
     void* fakeStack = nullptr;
     asanStartSwitch(&fakeStack, schedBottom, schedSize);
     ap_sim_fiber_switch(&selfSp, retSp);
-    asanFinishSwitch(fakeStack, nullptr, nullptr);
+    asanFinishSwitch(fakeStack);
+    current_ = this;
+}
+
+void
+Fiber::handoff(Fiber* next)
+{
+    AP_ASSERT(current_ == this, "handoff from non-current fiber");
+    AP_ASSERT(next != this && !next->done, "handoff to ",
+              next == this ? "itself" : "a finished fiber");
+    next->retSp = retSp;
+    current_ = next;
+    void* fakeStack = nullptr;
+    asanStartSwitch(&fakeStack, next->stack.get(), next->stackBytes);
+    ap_sim_fiber_switch(&selfSp, next->selfSp);
+    asanFinishSwitch(fakeStack);
     current_ = this;
 }
 

@@ -11,8 +11,8 @@
  * A switch is a short x86-64 SysV routine (fiber.cc): it pushes the
  * callee-saved registers plus MXCSR and the x87 control word onto the
  * outgoing stack, swaps the stack pointer, and pops the same set from
- * the incoming stack. It makes no syscall, so the resume/yield pair that
- * ends every simulated instruction stays cheap.
+ * the incoming stack. It makes no syscall, so the switch that ends
+ * every simulated instruction stays cheap.
  */
 
 #ifndef AP_SIM_FIBER_HH
@@ -53,6 +53,16 @@ class Fiber
 
     /** Switch from inside the fiber back to whoever resumed it. */
     void yield();
+
+    /**
+     * Switch from inside this fiber straight into @p next, which takes
+     * over this fiber's resumer: when @p next yields or finishes,
+     * control returns to whoever resumed this fiber. This fiber stays
+     * suspended until someone resumes it or hands off to it. The engine
+     * uses it to pass control from one warp to the next without a
+     * detour through the scheduler stack.
+     */
+    void handoff(Fiber* next);
 
     /** True once the fiber body has returned. */
     bool finished() const { return done; }

@@ -8,6 +8,7 @@
 #ifndef AP_SIM_MEMORY_HH
 #define AP_SIM_MEMORY_HH
 
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -43,8 +44,12 @@ class GlobalMemory
     GlobalMemory(size_t bytes, const CostModel& cm)
         : store_(static_cast<uint8_t*>(std::calloc(bytes, 1))),
           capacity(bytes), bw(cm.memBytesPerCycle), latency(cm.memLatency),
-          segmentBytes(cm.memSegmentBytes)
+          segmentBytes(cm.memSegmentBytes),
+          segmentShift(std::countr_zero(cm.memSegmentBytes))
     {
+        AP_ASSERT(isPowerOf2(segmentBytes),
+                  "coalescing segment must be a power of two, not ",
+                  segmentBytes);
         if (!store_)
             fatal("cannot allocate ", bytes, " bytes of device memory");
     }
@@ -158,25 +163,34 @@ class GlobalMemory
                      LaneMask mask) const
     {
         // Collect distinct segment ids; 32 entries max, linear scan is
-        // cheap and avoids allocation.
+        // cheap and avoids allocation. Neighbouring lanes mostly share a
+        // segment, so the one seen last skips the scan.
         constexpr int kCap = 4 * kWarpSize;
         Addr segs[kCap];
         int nsegs = 0;
         int extra = 0; // segments past dedup capacity, counted distinct
+        Addr lastSeen = ~Addr{0}; // the segment last found in segs
         auto addSeg = [&](Addr seg) {
-            for (int i = 0; i < nsegs; ++i)
-                if (segs[i] == seg)
+            if (seg == lastSeen)
+                return;
+            for (int i = 0; i < nsegs; ++i) {
+                if (segs[i] == seg) {
+                    lastSeen = seg;
                     return;
-            if (nsegs < kCap)
+                }
+            }
+            if (nsegs < kCap) {
                 segs[nsegs++] = seg;
-            else
+                lastSeen = seg;
+            } else {
                 ++extra;
+            }
         };
         for (int lane = 0; lane < kWarpSize; ++lane) {
             if (!(mask & (1u << lane)))
                 continue;
-            Addr first = addrs[lane] / segmentBytes;
-            Addr last = (addrs[lane] + bytesPerLane - 1) / segmentBytes;
+            Addr first = addrs[lane] >> segmentShift;
+            Addr last = (addrs[lane] + bytesPerLane - 1) >> segmentShift;
             for (Addr s = first; s <= last; ++s)
                 addSeg(s);
         }
@@ -195,6 +209,7 @@ class GlobalMemory
     BwServer bw;
     Cycles latency;
     unsigned segmentBytes;
+    int segmentShift; ///< log2(segmentBytes)
 };
 
 } // namespace ap::sim

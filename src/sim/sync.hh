@@ -46,13 +46,13 @@ class DeviceLock
         // The CAS that would take the lock (or observe it held).
         w.stall(atomicCost(w));
         w.issue(1);
-        w.stats().inc("sim.lock_acquires");
+        w.counters().lockAcquires.inc();
         if (!held) {
             held = true;
             noteAcquired(w);
             return;
         }
-        w.stats().inc("sim.lock_contended");
+        w.counters().lockContended.inc();
         waiters.push_back(Fiber::current());
         w.engine().block();
         // Ownership was handed to us by release().
@@ -68,7 +68,7 @@ class DeviceLock
     {
         w.stall(atomicCost(w));
         w.issue(1);
-        w.stats().inc("sim.lock_acquires");
+        w.counters().lockAcquires.inc();
         if (held)
             return false;
         held = true;

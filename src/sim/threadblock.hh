@@ -87,7 +87,7 @@ class ThreadBlock
             check::SimCheck::get().syncRelease(chan);
         if (++arrived < numWarps) {
             waiters.push_back(f);
-            f->yield();
+            eng->block();
             if (check::SimCheck::armed)
                 check::SimCheck::get().syncAcquire(chan);
             return;

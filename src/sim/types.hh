@@ -7,6 +7,7 @@
 #define AP_SIM_TYPES_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
 
 namespace ap::sim {
@@ -67,26 +68,14 @@ struct LaneArray
 constexpr int
 ffs32(uint32_t x)
 {
-    if (x == 0)
-        return 0;
-    int n = 1;
-    while (!(x & 1)) {
-        x >>= 1;
-        ++n;
-    }
-    return n;
+    return x == 0 ? 0 : std::countr_zero(x) + 1;
 }
 
 /** Population count, like CUDA's __popc. */
 constexpr int
 popc32(uint32_t x)
 {
-    int n = 0;
-    while (x) {
-        n += x & 1;
-        x >>= 1;
-    }
-    return n;
+    return std::popcount(x);
 }
 
 } // namespace ap::sim

@@ -39,6 +39,30 @@ struct PendingLoad
 };
 
 /**
+ * The sim.* counters charged on every instruction, DRAM access, atomic
+ * and lock operation. Each is a StatGroup::Counter, resolved once per
+ * warp instead of looked up by name on every charge.
+ */
+struct SimCounters
+{
+    explicit SimCounters(StatGroup& s)
+        : instructions(s, "sim.instructions"),
+          dramReadBytes(s, "sim.dram_read_bytes"),
+          dramWriteBytes(s, "sim.dram_write_bytes"),
+          atomics(s, "sim.atomics"), lockAcquires(s, "sim.lock_acquires"),
+          lockContended(s, "sim.lock_contended")
+    {
+    }
+
+    StatGroup::Counter instructions;
+    StatGroup::Counter dramReadBytes;
+    StatGroup::Counter dramWriteBytes;
+    StatGroup::Counter atomics;
+    StatGroup::Counter lockAcquires;
+    StatGroup::Counter lockContended;
+};
+
+/**
  * One warp's execution context. Constructed by Device at block
  * dispatch; device code receives a reference in its kernel functor.
  */
@@ -59,7 +83,8 @@ class Warp
          GlobalMemory* mem_, Engine* eng_, const CostModel* cm_,
          StatGroup* stats_, FaultPath& fp_)
         : gid(global_id), widInBlock(warp_in_block), tb_(tb), mem_(mem_),
-          eng_(eng_), cm_(cm_), stats_(stats_), fp_(fp_)
+          eng_(eng_), cm_(cm_), stats_(stats_), counters_(*stats_),
+          fp_(fp_)
     {
     }
 
@@ -115,7 +140,7 @@ class Warp
     {
         if (n <= 0)
             return;
-        stats_->inc("sim.instructions", n);
+        counters_.instructions.inc(n);
         Cycles t = eng_->now();
         // aplint: allow(no-yield) IssuePort::acquire is a port-timing reservation, not a DeviceLock acquire
         Cycles port = tb_->smRef().issuePort.acquire(t, n);
@@ -159,7 +184,7 @@ class Warp
     {
         issue(1);
         double traffic = mem_->coalescedTraffic(a, sizeof(T), m);
-        stats_->inc("sim.dram_read_bytes", (uint64_t)traffic);
+        counters_.dramReadBytes.inc((uint64_t)traffic);
         PendingLoad<T> p;
         p.readyAt = mem_->readDone(eng_->now(), traffic);
         for (int lane = 0; lane < kWarpSize; ++lane)
@@ -176,7 +201,7 @@ class Warp
     {
         issue(1);
         double traffic = mem_->coalescedTraffic(a, sizeof(T), m);
-        stats_->inc("sim.dram_write_bytes", (uint64_t)traffic);
+        counters_.dramWriteBytes.inc((uint64_t)traffic);
         mem_->writeDone(eng_->now(), traffic);
         for (int lane = 0; lane < kWarpSize; ++lane)
             if (m & (1u << lane))
@@ -190,7 +215,7 @@ class Warp
     {
         issue(1);
         double traffic = std::max<double>(sizeof(T), 32.0);
-        stats_->inc("sim.dram_read_bytes", (uint64_t)traffic);
+        counters_.dramReadBytes.inc((uint64_t)traffic);
         Cycles done = mem_->readDone(eng_->now(), traffic);
         T v = mem_->load<T>(a);
         eng_->waitUntil(done);
@@ -204,7 +229,7 @@ class Warp
     {
         issue(1);
         double traffic = std::max<double>(sizeof(T), 32.0);
-        stats_->inc("sim.dram_write_bytes", (uint64_t)traffic);
+        counters_.dramWriteBytes.inc((uint64_t)traffic);
         mem_->writeDone(eng_->now(), traffic);
         mem_->store<T>(a, v);
     }
@@ -221,8 +246,8 @@ class Warp
         int iters = static_cast<int>(
             (len + kWarpSize * 16 - 1) / (kWarpSize * 16));
         issue(4 * iters);
-        stats_->inc("sim.dram_read_bytes", len);
-        stats_->inc("sim.dram_write_bytes", len);
+        counters_.dramReadBytes.inc(len);
+        counters_.dramWriteBytes.inc(len);
         Cycles readDone = mem_->readDone(eng_->now(), (double)len);
         mem_->writeDone(readDone, (double)len);
         if (check::SimCheck::armed) {
@@ -243,7 +268,7 @@ class Warp
     atomicAdd(Addr a, T delta)
     {
         issue(1);
-        stats_->inc("sim.atomics");
+        counters_.atomics.inc();
         Cycles done =
             mem_->readDone(eng_->now(), 32.0) + cm_->atomicLatency;
         T old;
@@ -265,7 +290,7 @@ class Warp
     atomicCas(Addr a, T expected, T desired)
     {
         issue(1);
-        stats_->inc("sim.atomics");
+        counters_.atomics.inc();
         Cycles done =
             mem_->readDone(eng_->now(), 32.0) + cm_->atomicLatency;
         T old;
@@ -286,7 +311,7 @@ class Warp
     atomicExch(Addr a, T desired)
     {
         issue(1);
-        stats_->inc("sim.atomics");
+        counters_.atomics.inc();
         Cycles done =
             mem_->readDone(eng_->now(), 32.0) + cm_->atomicLatency;
         T old;
@@ -314,7 +339,7 @@ class Warp
     chargeGlobalRead(double bytes) AP_NO_YIELD
     {
         issue(1);
-        stats_->inc("sim.dram_read_bytes", (uint64_t)bytes);
+        counters_.dramReadBytes.inc((uint64_t)bytes);
         // aplint: allow(no-yield) bounded DRAM latency charge, not a protocol yield point
         eng_->waitUntil(mem_->readDone(eng_->now(), bytes));
     }
@@ -324,7 +349,7 @@ class Warp
     chargeGlobalWrite(double bytes) AP_NO_YIELD
     {
         issue(1);
-        stats_->inc("sim.dram_write_bytes", (uint64_t)bytes);
+        counters_.dramWriteBytes.inc((uint64_t)bytes);
         mem_->writeDone(eng_->now(), bytes);
     }
 
@@ -398,23 +423,27 @@ class Warp
     shflXor(const LaneArray<T>& v, int lane_mask) AP_LOCKSTEP
     {
         issue(1);
+        AP_ASSERT(lane_mask >= 0 && lane_mask < kWarpSize,
+                  "shflXor lane mask out of range");
         LaneArray<T> r;
         for (int lane = 0; lane < kWarpSize; ++lane)
             r[lane] = v[lane ^ lane_mask];
         return r;
     }
 
-    /** __shfl_down: lane i receives the value of lane i+delta (clamped). */
+    /**
+     * __shfl_down: lane i receives the value of lane i+delta, or keeps
+     * its own when that lane is past the warp.
+     */
     template <typename T>
     LaneArray<T>
     shflDown(const LaneArray<T>& v, int delta) AP_LOCKSTEP
     {
         issue(1);
+        AP_ASSERT(delta >= 0, "shflDown delta is negative");
         LaneArray<T> r;
-        for (int lane = 0; lane < kWarpSize; ++lane) {
-            int src = lane + delta;
-            r[lane] = v[src < kWarpSize ? src : lane];
-        }
+        for (int lane = 0; lane < kWarpSize; ++lane)
+            r[lane] = v[delta < kWarpSize - lane ? lane + delta : lane];
         return r;
     }
 
@@ -435,6 +464,9 @@ class Warp
 
     /** The launch-wide statistics sink. */
     StatGroup& stats() { return *stats_; }
+
+    /** This warp's handles on the hot sim.* counters of stats(). */
+    SimCounters& counters() { return counters_; }
 
     /** Timing constants. */
     const CostModel& costModel() const { return *cm_; }
@@ -484,6 +516,7 @@ class Warp
     Engine* eng_;
     const CostModel* cm_;
     StatGroup* stats_;
+    SimCounters counters_;
     FaultPath& fp_;
     uint64_t activeFault_ = 0;
     uint16_t tenant_ = 0;

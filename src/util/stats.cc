@@ -28,6 +28,13 @@ summarize(const Histogram& h)
 } // namespace
 
 void
+StatGroup::Counter::resolve()
+{
+    slot_ = &group_->counters[name_];
+    epoch_ = group_->epoch_;
+}
+
+void
 StatGroup::dump(std::ostream& os) const
 {
     for (const auto& [name, value] : counters)

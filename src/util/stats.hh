@@ -25,6 +25,47 @@ namespace ap {
 class StatGroup
 {
   public:
+    /**
+     * A handle on one counter for hot call sites. inc(name) builds a
+     * key and walks the map on every charge; a handle does that once,
+     * on its first charge, and then adds to the slot directly. So the
+     * counter still appears in dump()/dumpJson() exactly when it was
+     * first charged. reset() frees the slots; the handle notices the
+     * group's new epoch and resolves again.
+     */
+    class Counter
+    {
+      public:
+        /** @p name must outlive the handle (a string literal). */
+        Counter(StatGroup& group, const char* name)
+            : group_(&group), name_(name)
+        {
+        }
+
+        /** Add @p delta, exactly as group.inc(name, delta) would. */
+        void
+        inc(uint64_t delta = 1)
+        {
+            if (epoch_ != group_->epoch_) [[unlikely]]
+                resolve();
+            *slot_ += delta;
+        }
+
+      private:
+        /** Find or create the slot (out of line: inc() stays small). */
+        void resolve();
+
+        StatGroup* group_;
+        const char* name_;
+        uint64_t* slot_ = nullptr;
+        uint64_t epoch_ = 0; ///< group epochs start at 1
+    };
+
+    StatGroup() = default;
+    // Counter handles point into the group.
+    StatGroup(const StatGroup&) = delete;
+    StatGroup& operator=(const StatGroup&) = delete;
+
     /** Add @p delta to counter @p name (creating it at zero). */
     void
     inc(const std::string& name, uint64_t delta = 1)
@@ -98,6 +139,7 @@ class StatGroup
         counters.clear();
         scalars.clear();
         histograms.clear();
+        ++epoch_;
     }
 
     /** Dump every statistic, one "name value" per line; histograms
@@ -117,6 +159,8 @@ class StatGroup
     std::map<std::string, uint64_t> counters;
     std::map<std::string, double> scalars;
     std::map<std::string, Histogram> histograms;
+    /** Bumped by reset(), which frees every Counter's slot. */
+    uint64_t epoch_ = 1;
 };
 
 } // namespace ap

@@ -48,10 +48,10 @@ TEST(WritebackRace, ConcurrentFaulterSeesPostWritebackBytes)
         hostio::HostIoEngine io(dev, bs);
         PageCache cache(dev, io, cfg);
 
-        hostio::FileId f = bs.create("wb", 128 * cfg.pageSize);
+        hostio::FileId f = bs.create("wb", 128 * kPageBytes);
         {
-            auto* p = bs.data(f, 0, 128 * cfg.pageSize);
-            for (size_t i = 0; i + 8 <= 128 * cfg.pageSize; i += 8)
+            auto* p = bs.data(f, 0, 128 * kPageBytes);
+            for (size_t i = 0; i + 8 <= 128 * kPageBytes; i += 8)
                 std::memcpy(p + i, &i, 8);
         }
         PageKey dirty_key = makePageKey(f, 0);
@@ -138,7 +138,7 @@ TEST(WritebackRace, HostFlushWritesDirtyBytes)
     sim::Device dev(sim::CostModel{}, 64 << 20);
     hostio::HostIoEngine io(dev, bs);
     PageCache cache(dev, io, cfg);
-    hostio::FileId f = bs.create("wb2", 8 * cfg.pageSize);
+    hostio::FileId f = bs.create("wb2", 8 * kPageBytes);
 
     PageKey key = makePageKey(f, 2);
     dev.launch(1, 1, [&](sim::Warp& w) {
@@ -149,7 +149,7 @@ TEST(WritebackRace, HostFlushWritesDirtyBytes)
     cache.flushDirtyHost();
 
     uint64_t on_host = 0;
-    std::memcpy(&on_host, bs.data(f, 2 * cfg.pageSize, 8), 8);
+    std::memcpy(&on_host, bs.data(f, 2 * kPageBytes, 8), 8);
     EXPECT_EQ(on_host, kMarker);
 
     sc.auditLeaks();

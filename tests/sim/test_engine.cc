@@ -1,11 +1,15 @@
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sim/engine.hh"
+#include "util/rng.hh"
 
 namespace ap::sim {
 namespace {
@@ -132,6 +136,217 @@ TEST(Engine, BlockAndExternalWake)
     e.run();
     EXPECT_TRUE(f.finished());
     EXPECT_DOUBLE_EQ(woke, 77.0);
+}
+
+TEST(Engine, InlineResumedFiberWaitReturnsToItsCallback)
+{
+    // A callback resumes a blocked fiber inline, as a host-IO completion
+    // does. The fiber's next wait must hand control straight back to
+    // that callback, even though another fiber's wake-up is due first:
+    // host callbacks finish before any other event runs.
+    Engine e;
+    std::vector<std::string> order;
+    Fiber a([&] {
+        e.block();
+        order.push_back("a resumed");
+        e.waitUntil(10);
+        order.push_back("a woke");
+    });
+    Fiber b([&] { order.push_back("b ran"); });
+    e.scheduleFiber(0, &a);
+    e.schedule(5, [&] {
+        order.push_back("callback");
+        e.scheduleFiber(6, &b);
+        a.resume();
+        order.push_back("callback returned");
+    });
+    e.run();
+    EXPECT_EQ(order, (std::vector<std::string>{"callback", "a resumed",
+                                               "callback returned", "b ran",
+                                               "a woke"}));
+    EXPECT_TRUE(a.finished());
+    EXPECT_TRUE(b.finished());
+    EXPECT_DOUBLE_EQ(e.now(), 10.0);
+}
+
+TEST(Engine, DueFirstFiberContinuesInPlace)
+{
+    // A fiber whose wake-up is due before every queued event pops it
+    // itself: no other event runs, the clock lands on its wake time,
+    // and it is still the running fiber. A callback queued behind the
+    // waits runs only after them.
+    Engine e;
+    std::vector<Cycles> woke;
+    bool callbackRan = false;
+    Fiber f([&] {
+        for (int i = 1; i <= 5; ++i) {
+            e.waitUntil(i);
+            EXPECT_EQ(Fiber::current(), &f);
+            EXPECT_FALSE(callbackRan);
+            woke.push_back(e.now());
+        }
+    });
+    e.scheduleFiber(0, &f);
+    e.schedule(100, [&] { callbackRan = true; });
+    e.run();
+    EXPECT_EQ(woke, (std::vector<Cycles>{1, 2, 3, 4, 5}));
+    EXPECT_TRUE(callbackRan);
+    EXPECT_TRUE(f.finished());
+}
+
+TEST(Engine, HandedOffFibersDrainBackToTheRunLoop)
+{
+    // a's wait pops b's first wake-up, so b is entered fresh from a's
+    // stack. b's wait hands back to a, which finishes; b finishes after
+    // its own wake-up. Each finish must land in run(), which then runs
+    // the callback queued last.
+    Engine e;
+    std::vector<std::string> order;
+    Fiber a([&] {
+        order.push_back("a0");
+        e.waitUntil(2);
+        order.push_back("a2");
+    });
+    Fiber b([&] {
+        order.push_back("b1");
+        e.waitUntil(3);
+        order.push_back("b3");
+    });
+    e.scheduleFiber(0, &a);
+    e.scheduleFiber(1, &b);
+    e.schedule(4, [&] {
+        EXPECT_EQ(Fiber::current(), nullptr);
+        order.push_back("cb4");
+    });
+    e.run();
+    EXPECT_EQ(order,
+              (std::vector<std::string>{"a0", "b1", "a2", "b3", "cb4"}));
+    EXPECT_TRUE(a.finished());
+    EXPECT_TRUE(b.finished());
+    EXPECT_TRUE(e.idle());
+    EXPECT_EQ(Fiber::current(), nullptr);
+}
+
+/**
+ * A reference scheduler: a sorted list of (when, seq) fed every
+ * schedule call the engine gets. Each dispatched event must be the
+ * list's earliest entry, with the engine's clock at its time.
+ */
+struct DispatchOracle
+{
+    std::map<std::pair<Cycles, uint64_t>, std::string> pending;
+    uint64_t seq = 0;
+    /** What the engine dispatched and what the oracle expected. */
+    std::vector<std::pair<std::string, Cycles>> got, want;
+
+    void
+    scheduled(Cycles when, std::string label)
+    {
+        pending.emplace(std::make_pair(when, seq++), std::move(label));
+    }
+
+    /** Called first thing by every dispatched event. */
+    void
+    fired(const Engine& e, const std::string& label)
+    {
+        got.emplace_back(label, e.now());
+        if (pending.empty()) {
+            want.emplace_back("<nothing pending>", -1);
+            return;
+        }
+        auto first = pending.begin();
+        want.emplace_back(first->second, first->first.first);
+        pending.erase(first);
+    }
+};
+
+/**
+ * One fiber's seeded script: waits with ties, blocks woken by a
+ * callback that resumes it inline, blocks woken by a callback that
+ * schedules its wake-up, and plain host callbacks.
+ */
+void
+runScript(Engine& e, DispatchOracle& o, SplitMix64& rng, int id,
+          int steps, int& nextCallback)
+{
+    const std::string me = "f" + std::to_string(id);
+    Fiber* self = Fiber::current();
+    for (int step = 0; step < steps; ++step) {
+        const Cycles d = static_cast<Cycles>(rng.nextBounded(3));
+        const std::string cb = "c" + std::to_string(nextCallback++);
+        switch (rng.nextBounded(8)) {
+          case 0:
+          case 1:
+          case 2:
+          case 3:
+            // A wait of 1..3 cycles: every fiber draws from the same
+            // few times, so equal-time ties are common.
+            o.scheduled(e.now() + d + 1, me);
+            e.waitUntil(e.now() + d + 1);
+            o.fired(e, me);
+            break;
+          case 4:
+          case 5:
+            // Blocked until a callback resumes this fiber inline; no
+            // event may run before control returns to that callback.
+            o.scheduled(e.now() + d, cb);
+            e.schedule(e.now() + d, [&e, &o, self, cb] {
+                o.fired(e, cb);
+                const size_t before = o.got.size();
+                self->resume();
+                EXPECT_EQ(o.got.size(), before)
+                    << cb << ": an event ran inside its inline resume";
+            });
+            e.block();
+            break;
+          case 6:
+            // Blocked until a callback schedules the wake-up.
+            o.scheduled(e.now() + d, cb);
+            e.schedule(e.now() + d, [&e, &o, self, cb, me] {
+                o.fired(e, cb);
+                o.scheduled(e.now() + 1, me);
+                e.scheduleFiber(e.now() + 1, self);
+            });
+            e.block();
+            o.fired(e, me);
+            break;
+          default:
+            // A plain host callback; the fiber runs on.
+            o.scheduled(e.now() + d, cb);
+            e.schedule(e.now() + d, [&e, &o, cb] { o.fired(e, cb); });
+            break;
+        }
+    }
+}
+
+TEST(Engine, DispatchOrderMatchesAReferenceScheduler)
+{
+    constexpr int kFibers = 8;
+    constexpr int kSteps = 40;
+    for (uint64_t seed = 1; seed <= 25; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Engine e;
+        DispatchOracle o;
+        int nextCallback = 0;
+        std::vector<std::unique_ptr<Fiber>> fibers;
+        for (int i = 0; i < kFibers; ++i) {
+            fibers.push_back(std::make_unique<Fiber>(
+                [&e, &o, &nextCallback, seed, i] {
+                    o.fired(e, "f" + std::to_string(i));
+                    SplitMix64 rng(seed * 1000 + i);
+                    runScript(e, o, rng, i, kSteps, nextCallback);
+                }));
+            o.scheduled(i % 3, "f" + std::to_string(i));
+            e.scheduleFiber(i % 3, fibers.back().get());
+        }
+        e.run();
+        EXPECT_EQ(o.got, o.want);
+        EXPECT_TRUE(o.pending.empty());
+        EXPECT_GT(o.got.size(), size_t{kFibers * kSteps / 2});
+        for (const auto& f : fibers)
+            EXPECT_TRUE(f->finished());
+        EXPECT_EQ(Fiber::current(), nullptr);
+    }
 }
 
 TEST(Engine, BwServerSerializesTransfers)

@@ -140,7 +140,7 @@ TEST_F(LockContractTest, FullStackWorkloadRespectsDeclaredOrder)
         // eventually recycles frames through the allocator.
         for (int i = 0; i < 24; ++i) {
             p.read(w);
-            p.add(w, static_cast<int64_t>(rt.pageSize() / 4));
+            p.add(w, static_cast<int64_t>(gpufs::kPageBytes / 4));
         }
         p.destroy(w);
     });

@@ -121,7 +121,7 @@ TEST_F(SimCheckTest, ReportsLeakedPageReference)
     Device dev(CostModel{}, 64 << 20);
     hostio::HostIoEngine io(dev, bs);
     gpufs::PageCache cache(dev, io, cfg);
-    hostio::FileId f = bs.create("leaky", 16 * cfg.pageSize);
+    hostio::FileId f = bs.create("leaky", 16 * gpufs::kPageBytes);
 
     gpufs::PageKey key = gpufs::makePageKey(f, 3);
     dev.launch(1, 1, [&](Warp& w) {
@@ -260,8 +260,8 @@ TEST_F(SimCheckTest, FailedFillLeavesNoReportsWhenArmed)
     hostio::FaultInjector fi;
     io.setFaultInjector(&fi);
     gpufs::PageCache cache(dev, io, cfg);
-    hostio::FileId f = bs.create("flaky", 16 * cfg.pageSize);
-    fi.failReads(f, 0, cfg.pageSize);
+    hostio::FileId f = bs.create("flaky", 16 * gpufs::kPageBytes);
+    fi.failReads(f, 0, gpufs::kPageBytes);
 
     gpufs::PageKey key = gpufs::makePageKey(f, 0);
     dev.launch(1, 2, [&](Warp& w) {

@@ -1,3 +1,5 @@
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "sim/device.hh"
@@ -89,6 +91,38 @@ TEST(Warp, ShflXorButterflyReduction)
         }
         for (int i = 0; i < kWarpSize; ++i)
             EXPECT_EQ(v[i], 528);
+    });
+}
+
+TEST(WarpDeath, ShflXorMaskOutOfRange)
+{
+    Device dev(CostModel{}, 1 << 20);
+    auto v = LaneArray<int>::iota(0);
+    EXPECT_DEATH(runOneWarp(dev, [&](Warp& w) { w.shflXor(v, 32); }),
+                 "shflXor lane mask out of range");
+    EXPECT_DEATH(runOneWarp(dev, [&](Warp& w) { w.shflXor(v, -1); }),
+                 "shflXor lane mask out of range");
+}
+
+TEST(WarpDeath, ShflDownNegativeDelta)
+{
+    Device dev(CostModel{}, 1 << 20);
+    auto v = LaneArray<int>::iota(0);
+    EXPECT_DEATH(runOneWarp(dev, [&](Warp& w) { w.shflDown(v, -1); }),
+                 "shflDown delta is negative");
+}
+
+TEST(Warp, ShflDownKeepsLanesPastTheWarp)
+{
+    Device dev(CostModel{}, 1 << 20);
+    runOneWarp(dev, [&](Warp& w) {
+        auto v = LaneArray<int>::iota(100);
+        auto down = w.shflDown(v, 4);
+        for (int i = 0; i < kWarpSize; ++i)
+            EXPECT_EQ(down[i], 100 + (i + 4 < kWarpSize ? i + 4 : i));
+        auto far = w.shflDown(v, std::numeric_limits<int>::max());
+        for (int i = 0; i < kWarpSize; ++i)
+            EXPECT_EQ(far[i], 100 + i);
     });
 }
 
