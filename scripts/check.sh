@@ -20,18 +20,17 @@ export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1:${UBSAN_OPTIONS:-}"
 
 echo "==> tier-1 under ASan+UBSan"
 ctest --test-dir "${BUILD}" --output-on-failure -j "${JOBS}"
-# Failure-semantics slice: must exist and pass under the sanitizers
-# too (the error paths allocate and free across fiber switches).
-ctest --test-dir "${BUILD}" -L fault --no-tests=error -j "${JOBS}" \
-    --output-on-failure
-# Readahead slice: the speculative-fill lifecycle crosses fiber
-# switches and the DMA queue; it must exist and stay clean here too.
-ctest --test-dir "${BUILD}" -L prefetch --no-tests=error -j "${JOBS}" \
-    --output-on-failure
-# Observability slice: fault-path recorder, histograms, stats export,
-# and the apstat trace reader (docs/OBSERVABILITY.md).
-ctest --test-dir "${BUILD}" -L obs --no-tests=error -j "${JOBS}" \
-    --output-on-failure
+# The run above covered every slice; each must still exist here: the
+# failure-semantics slice (error paths allocate and free across fiber
+# switches), readahead (speculative fills cross fiber switches and the
+# DMA queue) and observability (docs/OBSERVABILITY.md).
+for label in fault prefetch obs; do
+    listed="$(ctest --test-dir "${BUILD}" -N -L "${label}")"
+    if grep -q '^Total Tests: 0$' <<<"${listed}"; then
+        echo "ctest label '${label}' selects no tests"
+        exit 1
+    fi
+done
 
 if command -v clang-tidy >/dev/null 2>&1; then
     echo "==> clang-tidy (src + tools)"

@@ -33,8 +33,8 @@
 # reserve, tenant teardown, tenant auditor), and the analyzer's own
 # suite (ctest label `lint`: the
 # two self-host scans plus lexer/parser/rule/call-graph/dataflow
-# units) run inside every tier-1 row; the explicit `--no-tests=error`
-# re-runs after each row guard against a label silently going empty.
+# units) run inside every tier-1 row; after each row, a listing of
+# every label (ctest -N -L) fails the row if one has gone empty.
 #
 # Rows 1-3 (build, test, lint, simcheck) are the tier-1 CI gate and
 # live in scripts/ci.sh, which this script delegates to — ci.sh is

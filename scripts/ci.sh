@@ -7,9 +7,9 @@
 #
 # Steps:
 #   build     configure + compile the plain tree
-#   test      full ctest, then one --no-tests=error re-run per suite
-#             label (fault, prefetch, obs, lint, serving, tenant,
-#             simcheck) so a label silently going empty fails
+#   test      full ctest, then each suite label (fault, prefetch, obs,
+#             lint, serving, tenant, simcheck) listed with ctest -N, so
+#             a label silently going empty fails without re-running it
 #   lint      aplint over the whole tree against the committed (empty)
 #             baseline — any unwaived finding fails
 #   perf      scripts/perf_diff: the gated benches re-run with --json
@@ -50,8 +50,11 @@ cmake --build "${PLAIN}" -j "${JOBS}"
 step "test (${PLAIN})"
 ctest --test-dir "${PLAIN}" --output-on-failure -j "${JOBS}"
 for label in "${LABELS[@]}"; do
-    ctest --test-dir "${PLAIN}" -L "${label}" --no-tests=error \
-        -j "${JOBS}" --output-on-failure
+    listed="$(ctest --test-dir "${PLAIN}" -N -L "${label}")"
+    if grep -q '^Total Tests: 0$' <<<"${listed}"; then
+        echo "ctest label '${label}' selects no tests"
+        exit 1
+    fi
 done
 
 step "lint (baseline: tools/aplint/baseline.json)"

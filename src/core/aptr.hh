@@ -338,12 +338,6 @@ class AptrVec
             w.mem().raw(aphysAddrs()[lane], sizeof(T)));
     }
 
-    /** Mapping length in bytes. */
-    uint64_t length() const { return mapLength; }
-
-    /** Backing file. */
-    hostio::FileId backingFile() const { return file; }
-
   private:
     /** Page size; a constant, so lane math shifts and masks. */
     static constexpr uint64_t kPage = gpufs::kPageBytes;

@@ -248,12 +248,8 @@ PageCache::acquirePage(sim::Warp& w, PageKey key, int count, bool writable,
                        bool zero_fill)
 {
     AP_ASSERT(count > 0, "acquire with non-positive count");
-    const sim::Cycles trace_t0 = w.now();
+    const sim::Cycles t0 = w.now();
     const uint64_t fid = w.activeFault();
-    const sim::Tracer::Args targs{
-        {"fault", static_cast<double>(fid)},
-        {"file", static_cast<double>(pageKeyFile(key))},
-        {"page", static_cast<double>(pageKeyPageNo(key))}};
     for (int attempt = 0;; ++attempt) {
         AP_ASSERT(attempt < 10000, "livelock acquiring page ", key);
 
@@ -352,10 +348,6 @@ PageCache::acquirePage(sim::Warp& w, PageKey key, int count, bool writable,
                     SimCheck::get().pcRefAdjust(checkDomain, key, -count,
                                                 w.globalWarpId(), w.now());
                 dev->stats().inc("pagecache.fill_error_hits");
-                dev->tracer().span(
-                    w.globalWarpId(), "fault",
-                    "minor-err pg" + std::to_string(pageKeyPageNo(key)),
-                    trace_t0, w.now(), targs);
                 return AcquireResult{0, 0, false, hostio::IoStatus::IoError};
             }
             if (writable) {
@@ -375,13 +367,9 @@ PageCache::acquirePage(sim::Warp& w, PageKey key, int count, bool writable,
                     registry_->statPrefix(pageKeyAsid(key));
                 dev->stats().inc(pfx + "minor_faults");
                 dev->stats().recordValue(pfx + "fault_cycles",
-                                         w.now() - trace_t0);
+                                         w.now() - t0);
             }
             noteFrameDemandHit(e.frame, w.now());
-            dev->tracer().span(
-                w.globalWarpId(), "fault",
-                "minor pg" + std::to_string(pageKeyPageNo(key)),
-                trace_t0, w.now(), targs);
             return AcquireResult{frameAddr(e.frame), e.frame, false,
                                  hostio::IoStatus::Ok, spec_taken};
         }
@@ -490,10 +478,6 @@ PageCache::acquirePage(sim::Warp& w, PageKey key, int count, bool writable,
         if (fill != hostio::IoStatus::Ok) {
             publishFillError(w, key, ea, frame, count);
             dev->stats().inc("pagecache.fill_errors");
-            dev->tracer().span(
-                w.globalWarpId(), "fault",
-                "major-err pg" + std::to_string(pageKeyPageNo(key)),
-                trace_t0, w.now(), targs);
             return AcquireResult{0, 0, true, fill};
         }
         publishReady(PageTable::stateAddr(ea), key, w.globalWarpId(),
@@ -506,16 +490,12 @@ PageCache::acquirePage(sim::Warp& w, PageKey key, int count, bool writable,
                 registry_->statPrefix(pageKeyAsid(key));
             dev->stats().inc(pfx + "major_faults");
             dev->stats().recordValue(pfx + "fault_cycles",
-                                     w.now() - trace_t0);
+                                     w.now() - t0);
         }
         // The major-faulting warp's own access is the frame's first
         // demand touch: only frames nobody ever demanded (speculative
         // fills, poisoned loads) can retire dead-on-arrival.
         noteFrameDemandHit(frame, w.now());
-        dev->tracer().span(
-            w.globalWarpId(), "fault",
-            "major pg" + std::to_string(pageKeyPageNo(key)), trace_t0,
-            w.now(), targs);
         return AcquireResult{frameAddr(frame), frame, true};
     }
 }

@@ -1,6 +1,7 @@
 #include "hostio/host_io_engine.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "sim/check/simcheck.hh"
 #include "util/logging.hh"
@@ -25,11 +26,13 @@ resumeWithEdge(sim::Fiber* f)
     f->resume();
 }
 
+/** DRR credit with no tenant registry: any group the split allows. */
+constexpr uint64_t kUnboundedCredit = std::numeric_limits<uint64_t>::max();
+
 } // namespace
 
-HostIoEngine::HostIoEngine(sim::Device& dev_, BackingStore& store,
-                           bool batching_)
-    : dev(&dev_), store_(&store), batching(batching_),
+HostIoEngine::HostIoEngine(sim::Device& dev_, BackingStore& store)
+    : dev(&dev_), store_(&store),
       pcieToGpu(dev_.costModel().pcieBytesPerCycle),
       pcieToHost(dev_.costModel().pcieBytesPerCycle)
 {
@@ -230,15 +233,11 @@ HostIoEngine::finish(const Request& r, IoStatus st)
 void
 HostIoEngine::enqueueBatched(Request r)
 {
-    if (registry_) {
-        // Fair scheduling: queue under the requesting tenant; the
-        // dispatch event drains the queues by deficit round-robin.
-        TenantQueue& q = qosQueues[r.asid];
-        (r.low ? q.spec : q.demand).push_back(std::move(r));
-        ++qosQueued;
-    } else {
-        pending.push_back(std::move(r));
-    }
+    // One queue per tenant while a registry is attached; without one,
+    // every batched read waits in the default tenant's queue.
+    TenantQueue& q = queues[registry_ ? r.asid : tenant::kDefaultTenant];
+    (r.low ? q.spec : q.demand).push_back(std::move(r));
+    ++queued;
     // The dispatch event may already be scheduled by an earlier
     // requester; publish this requester's clock into the host channel
     // so the batch that carries its DMA is ordered after it.
@@ -250,7 +249,7 @@ HostIoEngine::enqueueBatched(Request r)
 void
 HostIoEngine::armDispatch()
 {
-    if (dispatchScheduled || (pending.empty() && qosQueued == 0))
+    if (dispatchScheduled || queued == 0)
         return;
     const sim::CostModel& cm = dev->costModel();
     sim::Engine& eng = dev->engine();
@@ -264,65 +263,11 @@ HostIoEngine::armDispatch()
     eng.schedule(when, [this] { dispatch(); });
 }
 
-void
-HostIoEngine::dispatch()
-{
-    dispatchScheduled = false;
-    if (!pending.empty())
-        dispatchBatch();
-    if (qosQueued > 0)
-        dispatchQos();
-}
-
-void
-HostIoEngine::dispatchBatch()
-{
-    const sim::CostModel& cm = dev->costModel();
-
-    std::vector<Request> reqs = std::move(pending);
-    pending.clear();
-
-    // Demand before speculation: low-priority (readahead) requests
-    // move to the tail of the window, so they ride later transfers and
-    // never push a demand DMA past the maxBatchBytes split.
-    std::stable_partition(reqs.begin(), reqs.end(),
-                          [](const Request& r) { return !r.low; });
-
-    // Split into transfers of at most maxBatchBytes.
-    size_t i = 0;
-    sim::Cycles host_free = dev->engine().now();
-    while (i < reqs.size()) {
-        size_t j = i;
-        size_t bytes = 0;
-        while (j < reqs.size() &&
-               (j == i || bytes + reqs[j].len <= cm.maxBatchBytes)) {
-            bytes += reqs[j].len;
-            ++j;
-        }
-        // The host gathers the file contents into its staging buffer,
-        // then issues one DMA for the whole batch: one setup cost for
-        // the whole group.
-        const size_t n = j - i;
-        host_free += static_cast<double>(n) * cm.hostRequestCost;
-        dev->stats().inc("hostio.batched_requests", n);
-        sim::Cycles done =
-            ship(std::vector<Request>(
-                     std::make_move_iterator(reqs.begin() + i),
-                     std::make_move_iterator(reqs.begin() + j)),
-                 bytes, host_free);
-        dev->tracer().span(sim::kHostIoTrack, "dma",
-                           "batch x" + std::to_string(n) + " (" +
-                               std::to_string(bytes) + "B)",
-                           host_free, done,
-                           {{"requests", static_cast<double>(n)},
-                            {"bytes", static_cast<double>(bytes)}});
-        i = j;
-    }
-}
-
 uint64_t
 HostIoEngine::quantumFor(tenant::TenantId asid) const
 {
+    if (!registry_)
+        return kUnboundedCredit;
     constexpr uint64_t kQuantumBytes = 16384; // per IO-weight unit
     constexpr uint64_t kFloorBytes = 4096;    // zero weight: one page
     uint32_t w = registry_->ioWeightOf(asid);
@@ -330,87 +275,96 @@ HostIoEngine::quantumFor(tenant::TenantId asid) const
 }
 
 void
-HostIoEngine::dispatchQos()
+HostIoEngine::dispatch()
 {
+    dispatchScheduled = false;
+    AP_ASSERT(queued > 0, "dispatch event with no batched read queued");
     const sim::CostModel& cm = dev->costModel();
-    sim::Engine& eng = dev->engine();
 
-    // Select the tenant to serve: visit queues in ASID round-robin
+    // Select the queue to serve: visit queues in ASID round-robin
     // order from the cursor, crediting one quantum per visit, until a
-    // tenant's deficit covers its head request. Deficits persist
-    // across visits, so a large request accumulates credit over rounds
-    // and every tenant (floor included) eventually dispatches — the
-    // loop terminates because each visit strictly grows some deficit.
-    TenantQueue* tq = nullptr;
-    tenant::TenantId asid = 0;
-    while (!tq) {
-        auto it = qosQueues.lower_bound(rrCursor);
-        if (it == qosQueues.end())
-            it = qosQueues.begin();
-        size_t seen = 0;
-        while (it->second.empty()) {
-            if (++seen > qosQueues.size())
-                return; // nothing queued (caller checked; be safe)
-            ++it;
-            if (it == qosQueues.end())
-                it = qosQueues.begin();
-        }
-        it->second.deficit += quantumFor(it->first);
+    // queue's deficit covers its head request. Deficits persist across
+    // visits, so a large request accumulates credit over rounds and
+    // every tenant (floor included) eventually dispatches — the loop
+    // terminates because each visit strictly grows some deficit.
+    // Unbounded credit never overflows: its visit drains the queue,
+    // which zeroes the deficit before the next credit.
+    auto it = queues.lower_bound(rrCursor);
+    uint64_t quantum = 0;
+    for (;; ++it) {
+        if (it == queues.end())
+            it = queues.begin();
+        TenantQueue& q = it->second;
+        if (q.empty())
+            continue;
+        quantum = quantumFor(it->first);
+        q.deficit += quantum;
         rrCursor = static_cast<tenant::TenantId>(it->first + 1);
-        if (it->second.deficit >= it->second.front().len) {
-            asid = it->first;
-            tq = &it->second;
-        }
+        if (q.deficit >= q.front().len)
+            break;
     }
+    const tenant::TenantId asid = it->first;
+    TenantQueue& q = it->second;
 
-    // Assemble ONE transfer from this tenant's queue, demand before
-    // speculation, bounded by both the DMA split size and the credit.
-    TenantQueue& q = *tq;
-    std::vector<Request> group;
-    size_t bytes = 0;
-    auto take = [&](std::deque<Request>& dq) {
-        while (!dq.empty()) {
-            size_t len = dq.front().len;
-            if (!group.empty() && bytes + len > cm.maxBatchBytes)
-                break;
-            if (bytes + len > q.deficit)
-                break;
-            bytes += len;
-            group.push_back(std::move(dq.front()));
-            dq.pop_front();
+    // Ship from this queue, demand before speculation, each transfer
+    // bounded by both the DMA split size and the credit. The host
+    // gathers each group into its staging buffer, then issues one DMA
+    // for it: one setup cost per group.
+    sim::Cycles host_free = dev->engine().now();
+    do {
+        std::vector<Request> group;
+        size_t bytes = 0;
+        auto take = [&](std::deque<Request>& dq) {
+            while (!dq.empty()) {
+                size_t len = dq.front().len;
+                if (!group.empty() && bytes + len > cm.maxBatchBytes)
+                    break;
+                if (bytes + len > q.deficit)
+                    break;
+                bytes += len;
+                group.push_back(std::move(dq.front()));
+                dq.pop_front();
+            }
+        };
+        take(q.demand);
+        take(q.spec);
+        AP_ASSERT(!group.empty(), "DRR selected a queue it cannot serve");
+        q.deficit -= bytes;
+        queued -= group.size();
+
+        const size_t n = group.size();
+        host_free += static_cast<double>(n) * cm.hostRequestCost;
+        StatGroup& st = dev->stats();
+        st.inc("hostio.batched_requests", n);
+        if (registry_) {
+            st.inc("hostio.qos_dispatches");
+            const std::string& pfx = registry_->statPrefix(asid);
+            st.inc(pfx + "io_requests", n);
+            st.inc(pfx + "io_bytes", bytes);
         }
-    };
-    take(q.demand);
-    take(q.spec);
-    AP_ASSERT(!group.empty(), "DRR selected a tenant it cannot serve");
-    q.deficit -= bytes;
-    qosQueued -= group.size();
+        sim::Cycles done = ship(std::move(group), bytes, host_free);
+        sim::Tracer& tr = dev->tracer();
+        if (tr.enabled()) {
+            sim::Tracer::Args args{{"requests", static_cast<double>(n)},
+                                   {"bytes", static_cast<double>(bytes)}};
+            std::string who = "batch";
+            if (registry_) {
+                who = "qos t" + std::to_string(asid);
+                args.emplace_back("tenant", static_cast<double>(asid));
+            }
+            tr.span(sim::kHostIoTrack, "dma",
+                    who + " x" + std::to_string(n) + " (" +
+                        std::to_string(bytes) + "B)",
+                    host_free, done, std::move(args));
+        }
+    } while (quantum == kUnboundedCredit && !q.empty());
     if (q.empty())
         q.deficit = 0; // no banking credit while idle (classic DRR)
 
-    // Transfer mechanics shared with the batcher: one staging gather
-    // on the host, one DMA setup for the group.
-    const size_t n = group.size();
-    sim::Cycles host_free =
-        eng.now() + static_cast<double>(n) * cm.hostRequestCost;
-    dev->stats().inc("hostio.batched_requests", n);
-    dev->stats().inc("hostio.qos_dispatches");
-    const std::string& pfx = registry_->statPrefix(asid);
-    dev->stats().inc(pfx + "io_requests", n);
-    dev->stats().inc(pfx + "io_bytes", bytes);
-    sim::Cycles done = ship(std::move(group), bytes, host_free);
-    dev->tracer().span(sim::kHostIoTrack, "dma",
-                       "qos t" + std::to_string(asid) + " x" +
-                           std::to_string(n) + " (" +
-                           std::to_string(bytes) + "B)",
-                       host_free, done,
-                       {{"requests", static_cast<double>(n)},
-                        {"bytes", static_cast<double>(bytes)},
-                        {"tenant", static_cast<double>(asid)}});
-
-    // One transfer per dispatch event: the next round is a fresh event
-    // ordered behind this DMA, which is what lets another tenant's
-    // requests interleave instead of convoying behind this one.
+    // A finite quantum ships one transfer per event: the next round is
+    // a fresh event ordered behind this DMA, which is what lets
+    // another tenant's requests interleave instead of convoying behind
+    // this one.
     armDispatch();
 }
 

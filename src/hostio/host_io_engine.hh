@@ -7,9 +7,11 @@
  * host and shipped to the GPU in a single DMA transfer.
  *
  * Every transfer, read or write, blocking or asynchronous, takes one
- * path: start (range check, counters, doorbell) -> submit (join the
- * batching window, or ship alone) -> ship (one DMA for a group) ->
- * complete (injector verdict, then the host read or write) -> finish.
+ * path: start (range check, counters, doorbell) -> submit (queue for
+ * the batching dispatcher, or ship alone) -> ship (one DMA for a
+ * group) -> complete (injector verdict, then the host read or write)
+ * -> finish. One deficit round-robin dispatcher forms every batch;
+ * with no tenant registry it runs one queue with unbounded credit.
  * A blocking call is the asynchronous one plus a callback that resumes
  * the waiting fiber.
  *
@@ -35,6 +37,7 @@
 #include "sim/device.hh"
 #include "tenant/tenant.hh"
 #include "util/annotations.hh"
+#include "util/logging.hh"
 
 namespace ap::hostio {
 
@@ -58,12 +61,10 @@ class HostIoEngine
     };
 
     /**
-     * @param dev      the simulated GPU (shares its engine and memory)
-     * @param store    the host file system
-     * @param batching enable host-side aggregation of small transfers
+     * @param dev   the simulated GPU (shares its engine and memory)
+     * @param store the host file system
      */
-    HostIoEngine(sim::Device& dev, BackingStore& store,
-                 bool batching = true);
+    HostIoEngine(sim::Device& dev, BackingStore& store);
 
     /**
      * Read (f, off, len) from the host into device memory at @p gpu_dst.
@@ -114,7 +115,7 @@ class HostIoEngine
     int64_t rpc(sim::Warp& w, const std::function<int64_t()>& host_fn)
         AP_YIELDS;
 
-    /** Enable/disable batching (ablation knob). */
+    /** Enable/disable batching (on by default; the ablation knob). */
     void setBatching(bool on) { batching = on; }
 
     /** Attach a fault injector (null detaches; not owned). */
@@ -131,35 +132,35 @@ class HostIoEngine
 
     /**
      * Attach the tenant registry (null detaches; not owned). While
-     * attached, batched reads route through per-tenant queues drained
-     * by deficit round-robin over the registry's IO weights; without
-     * it the engine runs the original single-queue batcher unchanged.
-     * Attach only while no batched reads are queued.
+     * attached, each tenant's batched reads wait in their own queue and
+     * earn deficit round-robin credit by the registry's IO weights;
+     * without it every batched read waits in one queue with unbounded
+     * credit, which each dispatch event drains. Attach only while no
+     * batched reads are queued.
      */
     void setTenantRegistry(tenant::TenantRegistry* reg)
     {
+        AP_ASSERT(queued == 0, "tenant registry attached while ", queued,
+                  " batched reads are queued");
         registry_ = reg;
     }
 
     /**
      * Host-side congestion probe: transfers not yet delivered —
-     * batched reads awaiting dispatch (either queue discipline) plus
-     * reads and writes with the DMA in flight. The readahead throttle
-     * gates speculation on this so a deep queue of guesses never
-     * builds up in front of demand traffic; writes count too, since
-     * they occupy the same host daemon and bus as the reads the
-     * throttle is trying to protect.
+     * batched reads awaiting dispatch plus reads and writes with the
+     * DMA in flight. The readahead throttle gates speculation on this
+     * so a deep queue of guesses never builds up in front of demand
+     * traffic; writes count too, since they occupy the same host
+     * daemon and bus as the reads the throttle is trying to protect.
      */
-    size_t queueDepth() const
-    {
-        return pending.size() + qosQueued + inflight;
-    }
+    size_t queueDepth() const { return queued + inflight; }
 
-    /** Batched reads of tenant @p asid still awaiting dispatch. */
+    /** Batched reads of tenant @p asid still awaiting dispatch (with
+     * no registry attached, all of them wait under kDefaultTenant). */
     size_t queueDepthOf(tenant::TenantId asid) const
     {
-        auto it = qosQueues.find(asid);
-        if (it == qosQueues.end())
+        auto it = queues.find(asid);
+        if (it == queues.end())
             return 0;
         return it->second.demand.size() + it->second.spec.size();
     }
@@ -179,7 +180,7 @@ class HostIoEngine
         tenant::TenantId asid = 0;     ///< requesting address space
     };
 
-    /** One tenant's pending batched reads plus its DRR credit. */
+    /** One queue of batched reads plus its DRR credit. */
     struct TenantQueue
     {
         std::deque<Request> demand;
@@ -210,8 +211,8 @@ class HostIoEngine
         AP_YIELDS AP_MUST_CHECK;
 
     /**
-     * Stamp the enqueue stage, then add a batched read to the
-     * aggregation window or ship anything else as its own transfer.
+     * Stamp the enqueue stage, then queue a batched read for dispatch
+     * or ship anything else as its own transfer.
      */
     void submit(Request r);
 
@@ -244,29 +245,24 @@ class HostIoEngine
     /** Injector delay for this attempt (also counts the stat). */
     sim::Cycles injectedDelay(const Request& r);
 
-    /** Add @p r to the aggregation window, arming dispatch if idle. */
+    /** Queue @p r under its DRR key, arming dispatch if idle. */
     void enqueueBatched(Request r);
 
-    /** Dispatch-event body: drains whichever queues hold requests. */
+    /**
+     * Dispatch-event body, deficit round-robin: serve the next queue
+     * whose credit covers its head read with transfers of at most
+     * maxBatchBytes, demand before speculation. A finite quantum ships
+     * ONE transfer per event, so a tenant streaming megabytes cannot
+     * convoy the window ahead of everyone else; unbounded credit
+     * drains the queue.
+     */
     void dispatch();
 
-    void dispatchBatch();
-
     /**
-     * Deficit round-robin dispatch (registry attached): pick the next
-     * tenant whose accumulated credit covers its head request and ship
-     * ONE transfer of at most maxBatchBytes from its queue, then
-     * re-arm the dispatch event while requests remain. One transfer
-     * per tenant per visit is the isolation mechanism: a tenant
-     * streaming megabytes can no longer convoy the whole aggregation
-     * window into back-to-back DMAs ahead of everyone else.
-     */
-    void dispatchQos();
-
-    /**
-     * DRR credit one visit earns tenant @p asid: 16 KiB per IO-weight
-     * unit, or one 4 KiB page for a zero-weight tenant, so best-effort
-     * traffic trickles but never starves.
+     * DRR credit one visit earns the queue of @p asid: unbounded with
+     * no registry attached; else 16 KiB per IO-weight unit, or one
+     * 4 KiB page for a zero-weight tenant, so best-effort traffic
+     * trickles but never starves.
      */
     uint64_t quantumFor(tenant::TenantId asid) const;
 
@@ -278,12 +274,11 @@ class HostIoEngine
     FaultInjector* injector = nullptr;
     RetryPolicy retry;
     tenant::TenantRegistry* registry_ = nullptr;
-    bool batching;
+    bool batching = true;
     sim::BwServer pcieToGpu;
     sim::BwServer pcieToHost;
-    std::vector<Request> pending;
-    std::map<tenant::TenantId, TenantQueue> qosQueues;
-    size_t qosQueued = 0;     ///< total requests across qosQueues
+    std::map<tenant::TenantId, TenantQueue> queues;
+    size_t queued = 0;        ///< total requests across queues
     tenant::TenantId rrCursor = 0; ///< next ASID the DRR visits
     bool dispatchScheduled = false;
     size_t inflight = 0;      ///< shipped requests whose DMA is in flight

@@ -205,9 +205,9 @@ struct TenantResult
     /** Demand misses charged to this tenant. */
     uint64_t majorFaults = 0;
 
-    /** Host-IO bytes the DRR dispatcher shipped for this tenant
-     * (0 when QoS isolation is off — the legacy batcher does not
-     * attribute). */
+    /** Host-IO bytes the dispatcher shipped for this tenant (0 when
+     * QoS isolation is off: with no registry attached, every read
+     * waits in one shared queue and is not attributed). */
     uint64_t ioBytes = 0;
 };
 

@@ -138,10 +138,12 @@ FaultPath::end(uint64_t fid, FaultKind kind, Cycles t)
                     t, r.lastName, r.last);
 
     const bool traced = tracer_.enabled();
-    Tracer::Args args{{"fault", static_cast<double>(fid)},
-                      {"file", static_cast<double>(r.file)},
-                      {"page", static_cast<double>(r.page)},
-                      {"attempt", static_cast<double>(r.attempts)}};
+    Tracer::Args args;
+    if (traced)
+        args = {{"fault", static_cast<double>(fid)},
+                {"file", static_cast<double>(r.file)},
+                {"page", static_cast<double>(r.page)},
+                {"attempt", static_cast<double>(r.attempts)}};
 
     // Stage deltas between consecutive present stamps telescope to
     // the end-to-end latency; the remainder after the last stamp is

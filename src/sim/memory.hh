@@ -83,9 +83,6 @@ class GlobalMemory
         return base;
     }
 
-    /** Reset the allocator (existing contents survive). */
-    void resetAllocator() { brk = 64; }
-
     /** Functional typed load; no timing. */
     template <typename T>
     T

@@ -80,9 +80,6 @@ class Tracer
      */
     void setEventCap(size_t cap) { eventCap = cap; }
 
-    /** The current event cap. */
-    size_t cap() const { return eventCap; }
-
     /** Registry receiving trace.dropped_events (may be null). */
     void setStats(StatGroup* s) { stats = s; }
 

@@ -8,8 +8,10 @@
  *  - the page cache charges every resident frame to the ASID in its
  *    page key and asks the registry for weighted capacity shares when
  *    the eviction clock must pick a victim (eviction isolation);
- *  - the host-IO engine drains per-tenant request queues by deficit
- *    round-robin using the registry's IO weights (fair scheduling);
+ *  - the host-IO engine queues each tenant's batched reads apart and
+ *    credits each queue by the registry's IO weights in its one deficit
+ *    round-robin dispatcher (fair scheduling); with no registry, all
+ *    reads share one queue with unbounded credit;
  *  - serving/bench code registers one tenant per traffic class and
  *    tears them down at the end, which must leave no residual TLB,
  *    page-table, or frame state (audited by simcheck).

@@ -137,7 +137,8 @@ TEST(HostIoFault, PersistentReadFailsTerminally)
     for (bool batching : {true, false}) {
         FiFixture fx;
         FileId f = fx.bs.create("f", 8192);
-        HostIoEngine io(fx.dev, fx.bs, batching);
+        HostIoEngine io(fx.dev, fx.bs);
+        io.setBatching(batching);
         FaultInjector fi;
         fi.failReads(f, 0, 4096);
         io.setFaultInjector(&fi);
@@ -158,7 +159,7 @@ TEST(HostIoFault, PoisonedRequestDoesNotWedgeItsBatch)
     auto* p = fx.bs.data(f, 0, 16 * 4096);
     for (int i = 0; i < 16 * 4096; ++i)
         p[i] = static_cast<uint8_t>(i);
-    HostIoEngine io(fx.dev, fx.bs, /*batching=*/true);
+    HostIoEngine io(fx.dev, fx.bs);
     FaultInjector fi;
     fi.failReads(f, 5 * 4096, 4096); // poison page 5 only
     io.setFaultInjector(&fi);
@@ -338,7 +339,8 @@ TEST(HostIoFault, TransferParityBetweenBatchedAndUnbatched)
     auto transfers = [](bool batching) {
         FiFixture fx;
         FileId f = fx.bs.create("f", 8 * 4096);
-        HostIoEngine io(fx.dev, fx.bs, batching);
+        HostIoEngine io(fx.dev, fx.bs);
+        io.setBatching(batching);
         fx.dev.launch(1, 1, [&](sim::Warp& w) {
             for (int i = 0; i < 8; ++i)
                 EXPECT_EQ(io.readToGpu(w, f, i * 4096u, 4096,
@@ -372,7 +374,8 @@ TEST(HostIoFault, RetryTimingIsPinned)
     auto run = [](bool batching) {
         FiFixture fx;
         FileId f = fx.bs.create("f", 32 * 4096);
-        HostIoEngine io(fx.dev, fx.bs, batching);
+        HostIoEngine io(fx.dev, fx.bs);
+        io.setBatching(batching);
         FaultInjector::Config cfg;
         cfg.seed = 21;
         cfg.transientReadRate = 0.4;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "hostio/host_io_engine.hh"
 
 namespace ap::hostio {
@@ -10,6 +12,53 @@ struct IoFixture
     sim::Device dev{sim::CostModel{}, 1 << 22};
     BackingStore bs;
 };
+
+/** One read of a burst: its byte range and whether it is speculative. */
+struct BurstRead
+{
+    uint64_t off;
+    size_t len;
+    bool low;
+};
+
+/** What a burst of asynchronous reads did on the host. */
+struct BurstResult
+{
+    std::vector<sim::Cycles> done; ///< completion cycle of each read
+    uint64_t transfers = 0;
+    uint64_t batched = 0;
+};
+
+/**
+ * One warp queues @p reads back to back without waiting, from a file
+ * of @p file_bytes, with no tenant registry attached.
+ */
+BurstResult
+runBurst(const std::vector<BurstRead>& reads, uint64_t file_bytes)
+{
+    IoFixture fx;
+    FileId f = fx.bs.create("f", file_bytes);
+    HostIoEngine io(fx.dev, fx.bs);
+    sim::Addr dst = fx.dev.mem().alloc(file_bytes);
+    BurstResult r;
+    r.done.assign(reads.size(), -1);
+    fx.dev.launch(1, 1, [&](sim::Warp& w) {
+        for (size_t i = 0; i < reads.size(); ++i) {
+            const BurstRead& rd = reads[i];
+            EXPECT_EQ(io.readToGpuAsync(
+                          w, f, rd.off, rd.len, dst + rd.off,
+                          [&r, &fx, i](IoStatus st) {
+                              EXPECT_EQ(st, IoStatus::Ok);
+                              r.done[i] = fx.dev.engine().now();
+                          },
+                          rd.low),
+                      IoStatus::Ok);
+        }
+    });
+    r.transfers = fx.dev.stats().counter("hostio.transfers");
+    r.batched = fx.dev.stats().counter("hostio.batched_requests");
+    return r;
+}
 
 TEST(HostIo, ReadDeliversBytes)
 {
@@ -65,7 +114,8 @@ TEST(HostIo, NoBatchingIssuesOneTransferPerRead)
 {
     IoFixture fx;
     FileId f = fx.bs.create("f", 64 * 4096);
-    HostIoEngine io(fx.dev, fx.bs, /*batching=*/false);
+    HostIoEngine io(fx.dev, fx.bs);
+    io.setBatching(false);
     sim::Addr dst = fx.dev.mem().alloc(64 * 4096);
     fx.dev.launch(1, 16, [&](sim::Warp& w) {
         int i = w.warpInBlock();
@@ -80,7 +130,8 @@ TEST(HostIo, BatchingIsFasterForSmallPages)
     auto run = [](bool batching) {
         IoFixture fx;
         FileId f = fx.bs.create("f", 256 * 4096);
-        HostIoEngine io(fx.dev, fx.bs, batching);
+        HostIoEngine io(fx.dev, fx.bs);
+        io.setBatching(batching);
         sim::Addr dst = fx.dev.mem().alloc(256 * 4096);
         return fx.dev.launch(2, 32, [&](sim::Warp& w) {
             for (int k = 0; k < 4; ++k) {
@@ -136,6 +187,53 @@ TEST(HostIo, LargeReadSplitsIntoMaxBatchTransfers)
         }
     });
     EXPECT_GE(fx.dev.stats().counter("hostio.transfers"), 3u);
+}
+
+TEST(HostIo, SingleQueueBatchTimingIsPinned)
+{
+    // 300 reads of 4 KiB, every 7th speculative. The first 32
+    // doorbells land inside the 2000-cycle window and ride one DMA.
+    // The other 268 queue behind it, and the next dispatch event
+    // splits them at 1 MiB: every demand read plus the 26 oldest
+    // speculative ones, then the last 12 speculative reads.
+    std::vector<BurstRead> reads;
+    for (uint64_t i = 0; i < 300; ++i)
+        reads.push_back({i * 4096, 4096, i % 7 == 0});
+    BurstResult r = runBurst(reads, 300 * 4096);
+    EXPECT_EQ(r.transfers, 3u);
+    EXPECT_EQ(r.batched, 300u);
+    for (size_t i = 0; i < reads.size(); ++i) {
+        const sim::Cycles want = i < 32 ? 32641.534246575342
+                                 : !reads[i].low || i < 217
+                                     ? 189261.80821917808
+                                     : 200628.38356164383;
+        EXPECT_EQ(r.done[i], want) << "read " << i;
+    }
+}
+
+TEST(HostIo, SpeculationFillsTheSlackOfASplitTransfer)
+{
+    // Four 300 KiB demand reads overflow the 1 MiB split after the
+    // third, leaving 124 KiB of slack. Speculative reads then fill it
+    // in arrival order, stopping at the first that does not fit: the
+    // 2 KiB end-of-file read rides the first transfer, the 300 KiB
+    // one does not fit, and the 1 KiB one waits behind it.
+    constexpr uint64_t kRead = 300 << 10;
+    constexpr uint64_t kEnd = 5 * kRead + 3072;
+    BurstResult r = runBurst({{0, kRead, false},
+                              {kRead, kRead, false},
+                              {2 * kRead, kRead, false},
+                              {3 * kRead, kRead, false},
+                              {kEnd - 2048, 2048, true},
+                              {4 * kRead, kRead, true},
+                              {5 * kRead, 1024, true}},
+                             kEnd);
+    EXPECT_EQ(r.transfers, 2u);
+    EXPECT_EQ(r.batched, 7u);
+    const sim::Cycles first = 78527.561643835623;
+    const sim::Cycles second = 128679.89041095891;
+    EXPECT_EQ(r.done, (std::vector<sim::Cycles>{first, first, first, second,
+                                                first, second, second}));
 }
 
 } // namespace

@@ -2,13 +2,15 @@
  * @file
  * Host-IO QoS tests: the deficit-round-robin dispatcher's weighted
  * bandwidth split under saturation, the zero-weight floor (no
- * starvation), dispatch determinism, and the queue-depth signal
- * counting in-flight writes (the admission gate reads it).
+ * starvation), the pinned dispatch order, the attach-while-queued
+ * contract, and the queue-depth signal counting in-flight writes (the
+ * admission gate reads it).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <vector>
 
 #include "hostio/host_io_engine.hh"
@@ -111,12 +113,49 @@ TEST(TenantQosIo, ZeroWeightTenantIsFloorScheduledNotStarved)
     EXPECT_LT(light_first, heavy_end);
 }
 
+/** @p n copies of each completion cycle in @p runs, in order. */
+std::vector<double>
+repeatEach(std::initializer_list<double> runs, size_t n)
+{
+    std::vector<double> out;
+    for (double t : runs)
+        out.insert(out.end(), n, t);
+    return out;
+}
+
 TEST(TenantQosIo, DispatchOrderIsDeterministic)
 {
-    Trace a = runContendedReads(3, 2, 24, 8192);
-    Trace b = runContendedReads(3, 2, 24, 8192);
-    EXPECT_EQ(a.heavy, b.heavy);
-    EXPECT_EQ(a.light, b.light);
+    // 3:2 weights earn 48 KiB and 32 KiB per visit: six and four 8 KiB
+    // reads per transfer, alternating until the heavy tenant drains.
+    Trace tr = runContendedReads(3, 2, 24, 8192);
+    EXPECT_EQ(tr.heavy,
+              repeatEach({19230.575342465752, 43841.534246575342,
+                          68452.493150684939, 93063.452054794529},
+                         6));
+    EXPECT_EQ(tr.light,
+              repeatEach({30674.95890410959, 55285.917808219179,
+                          79896.876712328769, 104507.83561643836,
+                          115952.21917808219, 127396.60273972602},
+                         4));
+}
+
+TEST(TenantQosIoDeath, AttachWhileReadsAreQueuedPanics)
+{
+    // A read's queue and credit depend on the registry: reads queued
+    // under one discipline must not be served under the other.
+    QosFixture fx;
+    FileId f = fx.bs.create("f", 1 << 20);
+    HostIoEngine io(fx.dev, fx.bs);
+    sim::Addr dst = fx.dev.mem().alloc(1 << 16);
+    EXPECT_DEATH(fx.dev.launch(1, 1,
+                               [&](sim::Warp& w) {
+                                   EXPECT_EQ(io.readToGpuAsync(
+                                                 w, f, 0, 4096, dst,
+                                                 [](IoStatus) {}),
+                                             IoStatus::Ok);
+                                   io.setTenantRegistry(&fx.reg);
+                               }),
+                 "registry attached while 1 batched reads are queued");
 }
 
 TEST(TenantQosIo, PerTenantQueueDepthSeesBacklog)
