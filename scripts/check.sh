@@ -2,7 +2,7 @@
 # Run the tier-1 test suite under AddressSanitizer + UBSan, and run
 # clang-tidy over the sources when it is installed. This is the
 # "native tooling" half of the analysis matrix; scripts/check_all.sh
-# runs the full matrix including the simcheck build.
+# runs the full matrix including the simcheck-armed run.
 #
 # Usage: scripts/check.sh [build-dir]   (default: build-asan)
 set -euo pipefail

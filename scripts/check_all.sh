@@ -8,8 +8,9 @@
 #                    linked-escape v2, unused waivers); any unwaived
 #                    finding outside tools/aplint/baseline.json fails
 #   2. plain       - the tier-1 suite as shipped
-#   3. simcheck    - tier-1 with the race/lock-order/invariant
-#                    analyses armed; any report fails the run
+#   3. simcheck    - tier-1 re-run with AP_SIMCHECK=1, so the race/
+#                    lock-order/invariant analyses are armed; any
+#                    report fails the run
 #   4. sanitizers  - tier-1 under ASan+UBSan (via scripts/check.sh),
 #                    plus clang-tidy when installed
 #
@@ -39,15 +40,15 @@
 # Rows 1-3 (build, test, lint, simcheck) are the tier-1 CI gate and
 # live in scripts/ci.sh, which this script delegates to — ci.sh is
 # what a CI job runs standalone; check_all.sh adds the sanitizer row
-# on top. Wired to `cmake --build <dir> --target check-all`. Each row
-# builds in its own scratch tree so the matrix never dirties a dev
-# build.
+# on top. Wired to `cmake --build <dir> --target check-all`. Rows 1-3
+# share one scratch tree and the sanitizer row builds its own, so the
+# matrix never dirties a dev build.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 echo "=== [1-3/4] tier-1 CI gate (build, test, lint, simcheck) ==="
-scripts/ci.sh build-plain build-simcheck
+scripts/ci.sh build-plain
 
 echo "=== [4/4] sanitizers ==="
 scripts/check.sh build-asan

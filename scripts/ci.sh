@@ -19,17 +19,16 @@
 #   bench     apbench/smoke.py: every BENCHMARK.json workload at
 #             --smoke size, untraced and traced, plus a --corrupt run
 #             that must fail; any workload reported FAILED fails
-#   simcheck  tier-1 rebuilt and re-run with the race/lock-order/
-#             invariant/page-lifecycle analyses armed, then a one-line
-#             summary of what the gate covered
+#   simcheck  the same tier-1 binaries re-run with AP_SIMCHECK=1, so
+#             the race/lock-order/invariant/page-lifecycle analyses
+#             are armed and any report fails; then a one-line summary
+#             of what the gate covered
 #
-# Usage: scripts/ci.sh [plain-build-dir] [simcheck-build-dir]
-#        (defaults: build-plain, build-simcheck)
+# Usage: scripts/ci.sh [build-dir]   (default: build-plain)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 PLAIN="${1:-build-plain}"
-ARMED="${2:-build-simcheck}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 LABELS=(fault prefetch obs lint serving tenant simcheck)
 
@@ -67,12 +66,9 @@ step "bench (apbench smoke)"
 # smoke.py exits nonzero when any workload prints FAILED.
 python3 apbench/smoke.py
 
-step "simcheck (${ARMED})"
-cmake -B "${ARMED}" -S . -DAP_SIMCHECK=ON \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "${ARMED}" -j "${JOBS}"
-ctest --test-dir "${ARMED}" --output-on-failure -j "${JOBS}"
-TOTAL="$(ctest --test-dir "${ARMED}" -N | tail -1)"
+step "simcheck (AP_SIMCHECK=1, ${PLAIN})"
+AP_SIMCHECK=1 ctest --test-dir "${PLAIN}" --output-on-failure -j "${JOBS}"
+TOTAL="$(ctest --test-dir "${PLAIN}" -N | tail -1)"
 echo "=== ci.sh: simcheck summary: armed re-run green (${TOTAL}),"
 echo "    labels guarded: ${LABELS[*]} ==="
 

@@ -78,30 +78,22 @@ class GvmRuntime
         if (!cfg_.useTlb)
             return nullptr;
         sim::ThreadBlock& tb = w.block();
-        if (!tb.tlbSlot) {
-            auto tlb = std::make_shared<SoftTlb>(
+        if (!tb.tlbSlot)
+            tb.tlbSlot = std::make_shared<SoftTlb>(
                 tb, cfg_.tlbEntries, cfg_.kind,
                 w.costModel().scratchLatency, fs_->device());
-            tb.tlbSlot = tlb;
-            // Track every TLB ever created (weakly: blocks own them)
-            // so tenant teardown can audit all of them for stale
-            // translations without re-walking live threadblocks.
-            tlbs_.push_back(tlb);
-        }
         return static_cast<SoftTlb*>(tb.tlbSlot.get());
     }
 
     /**
      * Host-side tenant teardown: the full shutdown sequence for one
-     * address space, run after the tenant's warps have quiesced
-     * (kernel finished or all its apointers destroyed).
+     * address space, run after the tenant's kernel has finished. Its
+     * TLBs died with their threadblocks; a translation a warp leaked
+     * through one still holds its page-table references.
      *
-     *  1. assert no TLB still caches one of the tenant's translations
-     *     (quiesced tenants drain their counts and discard their
-     *     entries; a survivor here means a reference leak),
-     *  2. scrub the tenant's page-cache footprint (Busy if pages are
+     *  1. scrub the tenant's page-cache footprint (Busy if pages are
      *     still referenced or loading),
-     *  3. release the ASID in the registry (Busy if frames remain).
+     *  2. release the ASID in the registry (Busy if frames remain).
      *
      * @return Ok, or the first failing step's status; nothing is torn
      *         down unless all steps can succeed
@@ -110,21 +102,6 @@ class GvmRuntime
     teardownTenant(tenant::TenantRegistry& reg, tenant::TenantId asid)
         AP_MUST_CHECK
     {
-        for (auto it = tlbs_.begin(); it != tlbs_.end();) {
-            std::shared_ptr<SoftTlb> tlb = it->lock();
-            if (!tlb) {
-                it = tlbs_.erase(it);
-                continue;
-            }
-            uint32_t stale = tlb->countAsidEntriesHost(asid);
-            AP_ASSERT(stale == 0, "tenant ", asid, " teardown found ",
-                      stale,
-                      " stale TLB entr(ies): a warp leaked references "
-                      "or never destroyed its apointers");
-            if (stale != 0)
-                return tenant::TenantStatus::Busy;
-            ++it;
-        }
         tenant::TenantStatus st =
             fs_->cache().teardownTenantHost(asid);
         if (st != tenant::TenantStatus::Ok)
@@ -159,7 +136,6 @@ class GvmRuntime
     GvmConfig cfg_;
     AptrCosts costs_;
     hostio::FileId swapFile = -1;
-    std::vector<std::weak_ptr<SoftTlb>> tlbs_;
 };
 
 } // namespace ap::core

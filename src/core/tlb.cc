@@ -20,12 +20,8 @@ SoftTlb::SoftTlb(sim::ThreadBlock& tb, uint32_t n_entries, AptrKind kind,
     size_t entry_bytes = (kind == AptrKind::Short ? 12 : 20) + 4;
     tb.scratchAlloc(n_entries * entry_bytes);
     entries.reserve(n_entries);
-    for (uint32_t i = 0; i < n_entries; ++i) {
-        entries.emplace_back(lock_latency);
-        entries.back().entryLock.debugName =
-            "tlb[blk" + std::to_string(tb.id()) + "].entry[" +
-            std::to_string(i) + "]";
-    }
+    for (uint32_t i = 0; i < n_entries; ++i)
+        entries.emplace_back(i, lock_latency);
     name = "tlb[blk" + std::to_string(tb.id()) + "]";
     occSeries = "tlb.occupancy.blk" + std::to_string(tb.id());
 }
@@ -202,16 +198,6 @@ SoftTlb::countOfHost(gpufs::PageKey key) const
 {
     const Entry& e = entries[slotOf(key)];
     return e.key == key + 1 ? e.count : -1;
-}
-
-uint32_t
-SoftTlb::countAsidEntriesHost(tenant::TenantId asid) const
-{
-    uint32_t n = 0;
-    for (const Entry& e : entries)
-        if (e.key != 0 && gpufs::pageKeyAsid(e.key - 1) == asid)
-            ++n;
-    return n;
 }
 
 } // namespace ap::core

@@ -119,19 +119,11 @@ class SoftTlb
     /** Host-side: block-private count of @p key (tests). */
     int countOfHost(gpufs::PageKey key) const;
 
-    /**
-     * Host-side: entries still caching pages of @p asid. Zero once the
-     * tenant's warps have quiesced, because an entry is discarded when
-     * its count drains. The teardown path asserts exactly that, so a
-     * stale translation can never dangle past its address space.
-     */
-    uint32_t countAsidEntriesHost(tenant::TenantId asid) const;
-
   private:
     struct Entry
     {
-        explicit Entry(sim::Cycles lock_latency)
-            : entryLock(lock_latency)
+        Entry(uint32_t slot, sim::Cycles lock_latency)
+            : entryLock("tlb.entry", slot, lock_latency)
         {
         }
 

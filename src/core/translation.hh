@@ -98,13 +98,6 @@ longPayload(uint64_t t)
     return bits(t, 0, kLongPayloadWidth);
 }
 
-/** Address-space id of a long translation. */
-constexpr uint64_t
-longAsid(uint64_t t)
-{
-    return bits(t, kLongAsidShift, kLongAsidWidth);
-}
-
 // ---------------------------------------------------------------------
 // Short layout
 // ---------------------------------------------------------------------

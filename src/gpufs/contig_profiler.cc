@@ -102,7 +102,7 @@ ContigProfiler::exportSnapshot(StatGroup& st) const
 
     Histogram& all = st.histogram("contig.runs");
     for (const auto& [g, m] : groups) {
-        const PageKey gkey = g << 40;
+        const PageKey gkey = g << tenant::kKeyFileShift;
         const tenant::TenantId asid = pageKeyAsid(gkey);
         std::string gname = "contig.";
         if (asid != tenant::kDefaultTenant)

@@ -71,7 +71,10 @@ class ContigProfiler
 
   private:
     /** (tenant, file) group of @p key: everything above the page no. */
-    static uint64_t groupOf(PageKey key) { return key >> 40; }
+    static uint64_t groupOf(PageKey key)
+    {
+        return key >> tenant::kKeyFileShift;
+    }
 
     /** Remove one instance of @p len from the run-length multiset. */
     void dropRunLength(uint64_t len);

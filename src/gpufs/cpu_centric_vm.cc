@@ -11,8 +11,8 @@ CpuCentricVm::CpuCentricVm(sim::Device& dev_, hostio::HostIoEngine& io_,
     : dev(&dev_), io(&io_), nFrames(num_frames)
 {
     AP_ASSERT(num_frames > 0, "need at least one frame");
-    framesBase =
-        dev->mem().alloc(static_cast<size_t>(num_frames) * kPage, kPage);
+    framesBase = dev->mem().alloc(
+        static_cast<size_t>(num_frames) * kPageBytes, kPageBytes);
     freeFrames.reserve(num_frames);
     for (uint32_t f = num_frames; f-- > 0;)
         freeFrames.push_back(f);
@@ -43,12 +43,13 @@ CpuCentricVm::serviceFault(PageKey key)
     }
 
     hostio::FileId f = pageKeyFile(key);
-    uint64_t off = pageKeyPageNo(key) * kPage;
-    size_t len = std::min<size_t>(kPage, io->store().size(f) - off);
+    uint64_t off = pageKeyPageNo(key) * kPageBytes;
+    size_t len = std::min<size_t>(kPageBytes, io->store().size(f) - off);
     io->store().pread(f, dev->mem().raw(frameAddr(frame), len), len, off);
-    if (len < kPage)
-        std::memset(dev->mem().raw(frameAddr(frame) + len, kPage - len),
-                    0, kPage - len);
+    if (len < kPageBytes)
+        std::memset(
+            dev->mem().raw(frameAddr(frame) + len, kPageBytes - len), 0,
+            kPageBytes - len);
 
     table.emplace(key, frame);
     fifo.push_back(key);
@@ -89,7 +90,7 @@ CpuCentricVm::translate(sim::Warp& w, hostio::FileId f, uint64_t page_no)
             if (h.freeTime() < best->freeTime())
                 best = &h;
         sim::Cycles done =
-            best->acquireWithSetup(start, static_cast<double>(kPage),
+            best->acquireWithSetup(start, static_cast<double>(kPageBytes),
                                    cm.cpuFaultHandlerCost) +
             cm.pcieLatency;
         eng.schedule(done, [this, key] { serviceFault(key); });

@@ -48,9 +48,6 @@ class CpuCentricVm
      */
     sim::Addr translate(sim::Warp& w, hostio::FileId f, uint64_t page_no);
 
-    /** Page size (fixed at 4 KB). */
-    size_t pageSize() const { return kPage; }
-
     /** Host-side: is the page currently mapped? */
     bool
     mappedHost(hostio::FileId f, uint64_t page_no) const
@@ -59,11 +56,9 @@ class CpuCentricVm
     }
 
   private:
-    static constexpr size_t kPage = 4096;
-
     sim::Addr frameAddr(uint32_t frame) const
     {
-        return framesBase + static_cast<sim::Addr>(frame) * kPage;
+        return framesBase + static_cast<sim::Addr>(frame) * kPageBytes;
     }
 
     /** Runs on the host at handler-completion time. */

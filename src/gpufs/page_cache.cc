@@ -58,7 +58,6 @@ PageCache::PageCache(sim::Device& dev_, hostio::HostIoEngine& io_,
     freeStaging.reserve(cfg.stagingSlots);
     for (uint32_t s = cfg.stagingSlots; s-- > 0;)
         freeStaging.push_back(s);
-    allocLock.debugName = "pc.allocLock";
 }
 
 void
@@ -362,13 +361,7 @@ PageCache::acquirePage(sim::Warp& w, PageKey key, int count, bool writable,
                 }
             }
             dev->stats().inc("gpufs.minor_faults");
-            if (registry_) {
-                const std::string& pfx =
-                    registry_->statPrefix(pageKeyAsid(key));
-                dev->stats().inc(pfx + "minor_faults");
-                dev->stats().recordValue(pfx + "fault_cycles",
-                                         w.now() - t0);
-            }
+            noteTenantFault(key, "minor_faults", w.now() - t0);
             noteFrameDemandHit(e.frame, w.now());
             return AcquireResult{frameAddr(e.frame), e.frame, false,
                                  hostio::IoStatus::Ok, spec_taken};
@@ -485,13 +478,7 @@ PageCache::acquirePage(sim::Warp& w, PageKey key, int count, bool writable,
         w.chargeGlobalWrite(4);
         dev->faultPath().stamp(fid, sim::FaultStage::Fill, w.now());
         dev->stats().inc("gpufs.major_faults");
-        if (registry_) {
-            const std::string& pfx =
-                registry_->statPrefix(pageKeyAsid(key));
-            dev->stats().inc(pfx + "major_faults");
-            dev->stats().recordValue(pfx + "fault_cycles",
-                                     w.now() - t0);
-        }
+        noteTenantFault(key, "major_faults", w.now() - t0);
         // The major-faulting warp's own access is the frame's first
         // demand touch: only frames nobody ever demanded (speculative
         // fills, poisoned loads) can retire dead-on-arrival.
@@ -1086,6 +1073,51 @@ PageCache::flushDirtyHost()
     }
 }
 
+void
+PageCache::setTenantRegistry(tenant::TenantRegistry* reg)
+{
+    registry_ = reg;
+    if (!reg) {
+        // Nobody pops the reclaim reserve once QoS is off; return
+        // parked frames to the ordinary free pool (host-side, no
+        // simulated cost — detach happens between runs).
+        freeFrames.insert(freeFrames.end(), reserveFrames.begin(),
+                          reserveFrames.end());
+        reserveFrames.clear();
+        return;
+    }
+    // A warm cache already holds pages: charge each to its tenant, so
+    // the first eviction under the registry un-charges a charged frame.
+    reg->attachCacheFrames(cfg.numFrames);
+    FrameMeta fm;
+    Pte e;
+    for (uint32_t f = 0; f < cfg.numFrames; ++f)
+        if (residentEntryHost(f, fm, e) != 0)
+            reg->noteFrameGained(pageKeyAsid(fm.taggedKey - 1));
+}
+
+sim::Addr
+PageCache::residentEntryHost(uint32_t f, FrameMeta& fm, Pte& e)
+{
+    fm = dev->mem().load<FrameMeta>(metaAddr(f));
+    if (fm.taggedKey == 0)
+        return 0;
+    const sim::Addr ea = pt.entryAddrOf(fm.entryRef);
+    e = dev->mem().load<Pte>(ea);
+    return e.taggedKey == fm.taggedKey && e.frame == f ? ea : 0;
+}
+
+void
+PageCache::noteTenantFault(PageKey key, const char* kind,
+                           sim::Cycles cycles)
+{
+    if (!registry_)
+        return;
+    const std::string& pfx = registry_->statPrefix(pageKeyAsid(key));
+    dev->stats().inc(pfx + kind);
+    dev->stats().recordValue(pfx + "fault_cycles", cycles);
+}
+
 tenant::TenantStatus
 PageCache::teardownTenantHost(tenant::TenantId asid)
 {
@@ -1095,12 +1127,8 @@ PageCache::teardownTenantHost(tenant::TenantId asid)
     FrameMeta fm;
     Pte e;
     auto tenantEntry = [&](uint32_t f) -> sim::Addr {
-        fm = dev->mem().load<FrameMeta>(metaAddr(f));
-        if (fm.taggedKey == 0 || pageKeyAsid(fm.taggedKey - 1) != asid)
-            return 0;
-        const sim::Addr ea = pt.entryAddrOf(fm.entryRef);
-        e = dev->mem().load<Pte>(ea);
-        return e.taggedKey == fm.taggedKey && e.frame == f ? ea : 0;
+        const sim::Addr ea = residentEntryHost(f, fm, e);
+        return ea != 0 && pageKeyAsid(fm.taggedKey - 1) == asid ? ea : 0;
     };
 
     // Pass 1: refuse while any of the tenant's pages is referenced or

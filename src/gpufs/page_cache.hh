@@ -260,28 +260,15 @@ class PageCache
 
     /**
      * Attach a tenant registry, turning on QoS partitioning: every
-     * frame is charged to the ASID of the page it holds, the eviction
-     * clock refuses to take an under-share tenant's frame for an
-     * over-share requester (see allocFrame), and fault stats fan out
-     * into per-tenant `tenant.tN.*` groups. Null detaches; with no
+     * frame is charged to the ASID of the page it holds (the pages
+     * already resident included, counted host-side on attach), the
+     * eviction clock refuses to take an under-share tenant's frame for
+     * an over-share requester (see allocFrame), and fault stats fan
+     * out into per-tenant `tenant.tN.*` groups. Null detaches; with no
      * registry the cache behaves exactly as before (single tenant,
      * byte-identical sweep decisions).
      */
-    void
-    setTenantRegistry(tenant::TenantRegistry* reg)
-    {
-        registry_ = reg;
-        if (reg) {
-            reg->attachCacheFrames(cfg.numFrames);
-        } else {
-            // Nobody pops the reclaim reserve once QoS is off; return
-            // parked frames to the ordinary free pool (host-side, no
-            // simulated cost — detach happens between runs).
-            freeFrames.insert(freeFrames.end(), reserveFrames.begin(),
-                              reserveFrames.end());
-            reserveFrames.clear();
-        }
-    }
+    void setTenantRegistry(tenant::TenantRegistry* reg);
 
     /**
      * Host-side teardown of tenant @p asid's page-cache footprint: the
@@ -307,6 +294,21 @@ class PageCache
     void exportTranslationStatsHost();
 
   private:
+    /**
+     * Host-side: read frame @p f's metadata into @p fm and, if it holds
+     * a page, that page's entry into @p e.
+     * @return the entry's address, or 0 if the frame holds no page or
+     *         its entry no longer points back at it
+     */
+    sim::Addr residentEntryHost(uint32_t f, FrameMeta& fm, Pte& e);
+
+    /**
+     * Under a registry, count one @p kind fault ("minor_faults" or
+     * "major_faults") and its @p cycles in @p key's tenant's
+     * `tenant.tN.*` stats.
+     */
+    void noteTenantFault(PageKey key, const char* kind, sim::Cycles cycles);
+
     /** Obtain a free frame, evicting a refcount-zero page if needed. */
     uint32_t allocFrame(sim::Warp& w)
         AP_ACQUIRES("pc.alloc") AP_ACQUIRES("pt.bucket")
@@ -496,7 +498,7 @@ class PageCache
     /** Free-frame pool (device-side state mirrored host-side; pops and
      * pushes are charged as atomic pool operations). */
     std::vector<uint32_t> freeFrames;
-    sim::DeviceLock allocLock AP_LOCK_LEVEL("pc.alloc");
+    sim::DeviceLock allocLock{"pc.alloc"} AP_LOCK_LEVEL("pc.alloc");
     uint64_t clockHand = 0;
 
     /** QoS reclaim reserve (registry attached only): clean frames
@@ -505,7 +507,7 @@ class PageCache
      * serialized behind a whole-revolution clock sweep holding
      * allocLock. Never touched on the single-tenant path. */
     std::vector<uint32_t> reserveFrames;
-    sim::DeviceLock reserveLock AP_LOCK_LEVEL("pc.reserve");
+    sim::DeviceLock reserveLock{"pc.reserve"} AP_LOCK_LEVEL("pc.reserve");
     static constexpr size_t kReserveTarget = 8;
 
     /** simcheck serial for the per-slot staging handoff channels. */

@@ -31,11 +31,11 @@ namespace ap::gpufs {
 /**
  * Identifies one file page in the backing store, qualified by its
  * address space: the paper's "xAddress" at page granularity plus the
- * owning tenant's ASID. 8 bits of ASID, 16 bits of file id, 40 bits
- * of page number. Two tenants mapping the same file offset get
- * distinct keys — and therefore distinct TLB entries, page-table
- * entries, and frames — so tenant teardown can find exactly its own
- * state and the eviction clock can charge every frame to its owner.
+ * owning tenant's ASID, laid out as tenant/asid.hh defines. Two
+ * tenants mapping the same file offset get distinct keys — and
+ * therefore distinct TLB entries, page-table entries, and frames — so
+ * tenant teardown can find exactly its own state and the eviction
+ * clock can charge every frame to its owner.
  */
 using PageKey = uint64_t;
 
@@ -43,10 +43,7 @@ using PageKey = uint64_t;
 constexpr PageKey
 makePageKey(tenant::TenantId asid, hostio::FileId f, uint64_t page_no)
 {
-    return (static_cast<uint64_t>(asid) << tenant::kKeyAsidShift) |
-           ((static_cast<uint64_t>(static_cast<uint32_t>(f)) & 0xffff)
-            << 40) |
-           (page_no & ((1ULL << 40) - 1));
+    return tenant::makeKey(asid, static_cast<uint32_t>(f), page_no);
 }
 
 /** Default-tenant PageKey (single-tenant workloads and tests). */
@@ -67,14 +64,14 @@ pageKeyAsid(PageKey k)
 constexpr hostio::FileId
 pageKeyFile(PageKey k)
 {
-    return static_cast<hostio::FileId>((k >> 40) & 0xffff);
+    return static_cast<hostio::FileId>(tenant::keyFile(k));
 }
 
 /** Page number component of a PageKey. */
 constexpr uint64_t
 pageKeyPageNo(PageKey k)
 {
-    return k & ((1ULL << 40) - 1);
+    return tenant::keyPageNo(k);
 }
 
 /** Page-table entry states. */

@@ -50,8 +50,7 @@ class FaultInjector
     FaultInjector() = default;
     explicit FaultInjector(const Config& cfg) : cfg_(cfg) {}
 
-    /** Reconfigure the random knobs (persistent ranges survive). */
-    void setConfig(const Config& cfg) { cfg_ = cfg; }
+    /** The random knobs in force. */
     const Config& config() const { return cfg_; }
 
     /** Make every read of a byte range overlapping (f, off, len) fail. */

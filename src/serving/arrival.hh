@@ -26,18 +26,6 @@ enum class Arrival {
     Bursty,  ///< open loop: Poisson gaps gated to on/off burst windows
 };
 
-/** Display name of an arrival process. */
-inline const char*
-arrivalName(Arrival a)
-{
-    switch (a) {
-      case Arrival::Closed: return "closed";
-      case Arrival::Poisson: return "poisson";
-      case Arrival::Bursty: return "bursty";
-    }
-    return "?";
-}
-
 /** Open-loop arrival-process knobs (cycles). */
 struct ArrivalParams
 {

@@ -16,6 +16,7 @@ namespace ap::sim::check {
 enum class ReportKind {
     DataRace,  ///< conflicting unsynchronized accesses (vector clocks)
     LockCycle, ///< cycle in the lock-acquisition-order graph
+    LockOrder, ///< nesting that contradicts the declared ap::kLockOrder
     Invariant, ///< a paper invariant was violated (refcounts, PTE edges)
     Hang,      ///< a warp was still blocked when the event queue drained
 };
@@ -29,6 +30,8 @@ reportKindName(ReportKind k)
         return "data-race";
       case ReportKind::LockCycle:
         return "lock-cycle";
+      case ReportKind::LockOrder:
+        return "lock-order";
       case ReportKind::Invariant:
         return "invariant";
       case ReportKind::Hang:

@@ -6,6 +6,7 @@
 #include <string_view>
 
 #include "sim/fiber.hh"
+#include "tenant/asid.hh"
 #include "util/annotations.hh"
 #include "util/logging.hh"
 
@@ -24,16 +25,25 @@ hexAddr(uint64_t a)
     return os.str();
 }
 
+/** Position of @p lock_class in ap::kLockOrder; -1 if unranked. */
+int
+lockRank(const char* lock_class)
+{
+    int rank = 0;
+    for (const char* c : ap::kLockOrder) {
+        if (std::string_view(c) == lock_class)
+            return rank;
+        ++rank;
+    }
+    return -1;
+}
+
 } // namespace
 
 SimCheck::SimCheck()
 {
-    bool on = false;
-#ifdef AP_SIMCHECK_DEFAULT_ON
-    on = true;
-#endif
-    if (const char* env = std::getenv("AP_SIMCHECK"))
-        on = env[0] != '\0' && env[0] != '0';
+    const char* env = std::getenv("AP_SIMCHECK");
+    const bool on = env && env[0] != '\0' && env[0] != '0';
     // Fresh actor table with the host as actor 0.
     reset();
     setEnabled(on);
@@ -74,7 +84,7 @@ SimCheck::reset()
     hostChannel = VClock{};
     shadow.clear();
     held.clear();
-    lockNames.clear();
+    lockTags.clear();
     lockGraph.clear();
     pages.clear();
     reports_.clear();
@@ -357,12 +367,11 @@ SimCheck::raceReport(uint32_t mem, uint64_t gaddr, uint8_t mask,
 // Lock-order graph
 // ----------------------------------------------------------------------
 
-const std::string&
+std::string
 SimCheck::lockName(uint64_t id) const
 {
-    static const std::string anon = "";
-    auto it = lockNames.find(id);
-    return it == lockNames.end() ? anon : it->second;
+    const LockTag& tag = lockTags.at(id);
+    return std::string(tag.cls) + "[" + std::to_string(tag.index) + "]";
 }
 
 bool
@@ -389,15 +398,13 @@ SimCheck::findLockPath(uint64_t from, uint64_t to,
 }
 
 void
-SimCheck::onLockAcquired(uint64_t lock, const std::string& name, int warp,
-                         double cycle)
+SimCheck::onLockAcquired(uint64_t lock, const char* lock_class,
+                         uint32_t index, int warp, double cycle)
 {
     if (!enabled_)
         return;
-    if (!name.empty())
-        lockNames[lock] = name;
-    else if (!lockNames.count(lock))
-        lockNames[lock] = "lock#" + std::to_string(lock);
+    lockTags[lock] = LockTag{lock_class, index};
+    const int rank = lockRank(lock_class);
 
     // The lock is also a synchronization channel.
     syncAcquire(objChan(lock, 0));
@@ -407,6 +414,18 @@ SimCheck::onLockAcquired(uint64_t lock, const std::string& name, int warp,
     for (const HeldLock& outer : hl) {
         if (outer.id == lock)
             continue;
+        if (rank >= 0 && outer.rank > rank) {
+            std::ostringstream msg;
+            msg << "lock-order inversion: " << lockName(lock)
+                << " acquired by warp " << warp << " @ cycle " << cycle
+                << " while holding " << lockName(outer.id)
+                << " (acquired @ cycle " << outer.cycle
+                << "), but ap::kLockOrder ranks " << lock_class
+                << " before " << outer.cls;
+            report(ReportKind::LockOrder,
+                   std::string("lockorder:") + outer.cls + ":" + lock_class,
+                   msg.str());
+        }
         lockGraph[outer.id].emplace(
             lock, LockEdge{warp, outer.cycle, cycle});
         // Adding outer -> lock closes a cycle iff lock already reaches
@@ -448,7 +467,7 @@ SimCheck::onLockAcquired(uint64_t lock, const std::string& name, int warp,
             report(ReportKind::LockCycle, key.str(), msg.str());
         }
     }
-    hl.push_back(HeldLock{lock, warp, cycle});
+    hl.push_back(HeldLock{lock, lock_class, rank, warp, cycle});
 }
 
 void
@@ -510,8 +529,9 @@ std::string
 SimCheck::pageName(uint64_t dom, uint64_t key)
 {
     std::ostringstream os;
-    os << "page asid=" << (key >> 56) << " file=" << ((key >> 40) & 0xffff)
-       << " pageno=" << (key & ((1ULL << 40) - 1)) << " (domain " << dom
+    os << "page asid=" << tenant::keyAsid(key)
+       << " file=" << tenant::keyFile(key)
+       << " pageno=" << tenant::keyPageNo(key) << " (domain " << dom
        << ")";
     return os.str();
 }
@@ -520,7 +540,7 @@ void
 SimCheck::auditTenant(uint64_t dom, uint64_t key, int warp,
                       uint16_t tenant, const char* what)
 {
-    uint16_t owner = static_cast<uint16_t>(key >> 56);
+    const tenant::TenantId owner = tenant::keyAsid(key);
     if (tenant == owner)
         return;
     report(ReportKind::Invariant,
@@ -540,7 +560,7 @@ SimCheck::pcTeardownTenant(uint64_t dom, uint16_t asid, double cycle)
         return;
     (void)cycle;
     for (const auto& [id, ps] : pages) {
-        if (id.dom != dom || static_cast<uint16_t>(id.key >> 56) != asid)
+        if (id.dom != dom || tenant::keyAsid(id.key) != asid)
             continue;
         report(ReportKind::Invariant,
                "tenantresidual:" + std::to_string(dom) + ":" +

@@ -10,7 +10,8 @@
  *     scheduling edges, and DMA completions;
  *  2. a lock-order-graph deadlock detector over every DeviceLock in
  *     the process, reporting cycles with acquisition provenance
- *     (warp id, simulated cycle);
+ *     (warp id, simulated cycle), and any nesting of two classes
+ *     that contradicts the declared order ap::kLockOrder;
  *  3. an invariant auditor for the paper's correctness properties:
  *     page refcounts never go below the claimed -1 writeback state,
  *     pages with live references or linked apointers are never
@@ -22,9 +23,7 @@
  * The checker is always compiled (it has no dependencies) and gated at
  * runtime: SimCheck::armed is false by default, so instrumentation in
  * the hot paths costs one predictable branch. It turns on when
- *  - the build sets -DAP_SIMCHECK=ON (compile definition
- *    AP_SIMCHECK_DEFAULT_ON, used by the `check-all` matrix),
- *  - the environment sets AP_SIMCHECK=1, or
+ *  - the environment sets AP_SIMCHECK=1 (any build), or
  *  - a test calls SimCheck::get().setEnabled(true).
  *
  * Deliberately unsynchronized accesses (the page table's lock-free
@@ -77,13 +76,12 @@ class SimCheck
     bool enabled() const { return enabled_; }
 
     /**
-     * When true (the default under AP_SIMCHECK_DEFAULT_ON / env
-     * enabling), any report panics so a whole test suite run enforces
-     * "zero reports". Negative tests for the checker itself set this
-     * to false and inspect reports().
+     * When true (the default when AP_SIMCHECK=1 arms the checker),
+     * any report panics so a whole test suite run enforces "zero
+     * reports". Negative tests for the checker itself set this to
+     * false and inspect reports().
      */
     void setFailOnReport(bool on) { failOnReport_ = on; }
-    bool failOnReport() const { return failOnReport_; }
 
     /** Drop all shadow state, actors, graphs, and reports. */
     void reset();
@@ -178,29 +176,17 @@ class SimCheck
     // Lock-order graph
     // ------------------------------------------------------------------
 
-    /** Current actor acquired @p lock (blocking or try succeeded). */
-    void onLockAcquired(uint64_t lock, const std::string& name, int warp,
-                        double cycle);
+    /**
+     * Current actor acquired @p lock, lock @p index of class
+     * @p lock_class (a string literal), blocking or try succeeded.
+     * Nesting it inside a held lock whose class ap::kLockOrder ranks
+     * later is a LockOrder report.
+     */
+    void onLockAcquired(uint64_t lock, const char* lock_class,
+                        uint32_t index, int warp, double cycle);
 
     /** Current actor released @p lock. */
     void onLockReleased(uint64_t lock);
-
-    /**
-     * Visit every observed lock-order edge — an inner lock acquired
-     * while an outer one was held — as (outer, inner) debug names.
-     * Tests cross-check these runtime edges against the declared
-     * static hierarchy in ap::kLockOrder (aplint rule lock-order).
-     */
-    template <typename Fn>
-    void
-    forEachLockEdge(Fn&& fn) const
-    {
-        for (const auto& [from, tos] : lockGraph)
-            for (const auto& [to, edge] : tos) {
-                (void)edge;
-                fn(lockName(from), lockName(to));
-            }
-    }
 
     // ------------------------------------------------------------------
     // Invariant auditor (page-cache domains)
@@ -358,9 +344,19 @@ class SimCheck
                     bool priorWrite);
 
     // --- lock-order internals ----------------------------------------
+    /** A lock's declared class and index: its name, formatted only
+     * when a report needs it. */
+    struct LockTag
+    {
+        const char* cls;
+        uint32_t index;
+    };
+
     struct HeldLock
     {
         uint64_t id;
+        const char* cls;
+        int rank; ///< position of cls in ap::kLockOrder, or -1
         int warp;
         double cycle;
     };
@@ -375,7 +371,7 @@ class SimCheck
     bool findLockPath(uint64_t from, uint64_t to,
                       std::vector<uint64_t>& path,
                       std::unordered_set<uint64_t>& seen);
-    const std::string& lockName(uint64_t id) const;
+    std::string lockName(uint64_t id) const;
 
     // --- invariant internals -----------------------------------------
     struct PageShadow
@@ -434,7 +430,7 @@ class SimCheck
     std::unordered_map<uint64_t, Shadow> shadow;
 
     std::unordered_map<int, std::vector<HeldLock>> held;
-    std::unordered_map<uint64_t, std::string> lockNames;
+    std::unordered_map<uint64_t, LockTag> lockTags;
     std::unordered_map<uint64_t, std::unordered_map<uint64_t, LockEdge>>
         lockGraph;
 

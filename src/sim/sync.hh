@@ -10,7 +10,6 @@
 #define AP_SIM_SYNC_HH
 
 #include <deque>
-#include <string>
 
 #include "sim/check/simcheck.hh"
 #include "sim/warp.hh"
@@ -27,14 +26,21 @@ namespace ap::sim {
 class DeviceLock
 {
   public:
-    DeviceLock() = default;
-
     /**
-     * @param latency cost of the lock's atomic operation; overrides the
-     *                global-memory atomic latency (e.g. a scratchpad
-     *                lock such as a TLB entry lock is much cheaper)
+     * @param lock_class the class its AP_LOCK_LEVEL names (a string
+     *                   literal); simcheck ranks it by ap::kLockOrder
+     * @param lock_index which lock of its class (bucket, entry slot)
+     * @param latency    cost of the lock's atomic operation; overrides
+     *                   the global-memory atomic latency (e.g. a
+     *                   scratchpad lock such as a TLB entry lock is
+     *                   much cheaper)
      */
-    explicit DeviceLock(Cycles latency) : latencyOverride(latency) {}
+    explicit DeviceLock(const char* lock_class, uint32_t lock_index = 0,
+                        Cycles latency = -1)
+        : lockClass(lock_class), index(lock_index),
+          latencyOverride(latency)
+    {
+    }
 
     /**
      * Acquire the lock, blocking the calling warp until available.
@@ -100,20 +106,17 @@ class DeviceLock
     /** True if some warp currently owns the lock. */
     bool isHeld() const { return held; }
 
-    /**
-     * Name shown in simcheck lock-order diagnostics (e.g.
-     * "pt.bucket[3]"). Defaults to "lock#<serial>" when unset.
-     */
-    std::string debugName;
-
   private:
     void
     noteAcquired(Warp& w)
     {
         if (check::SimCheck::armed)
-            check::SimCheck::get().onLockAcquired(checkId, debugName,
-                                                  w.globalWarpId(), w.now());
+            check::SimCheck::get().onLockAcquired(
+                checkId, lockClass, index, w.globalWarpId(), w.now());
     }
+
+    const char* lockClass;
+    uint32_t index;
 
     /** Never-reused serial: shadow state can't alias across tests. */
     const uint64_t checkId = check::SimCheck::nextId();

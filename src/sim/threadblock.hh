@@ -46,9 +46,6 @@ class ThreadBlock
     /** Index of this block in the launch grid. */
     int id() const { return blockId; }
 
-    /** Number of warps in the block. */
-    int warpCount() const { return numWarps; }
-
     /** The SM this block runs on. */
     Sm& smRef() { return *sm; }
 

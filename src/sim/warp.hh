@@ -108,14 +108,6 @@ class Warp
         return LaneArray<uint32_t>::iota(0);
     }
 
-    /** Global thread id of each lane. */
-    LaneArray<uint64_t>
-    threadIds() const
-    {
-        return LaneArray<uint64_t>::iota(
-            static_cast<uint64_t>(gid) * kWarpSize);
-    }
-
     // ------------------------------------------------------------------
     // Timing primitives
     // ------------------------------------------------------------------
@@ -206,20 +198,6 @@ class Warp
         for (int lane = 0; lane < kWarpSize; ++lane)
             if (m & (1u << lane))
                 mem_->store<T>(a[lane], v[lane]);
-    }
-
-    /** Scalar (single-lane) load, e.g. leader-only metadata reads. */
-    template <typename T>
-    T
-    loadScalar(Addr a)
-    {
-        issue(1);
-        double traffic = std::max<double>(sizeof(T), 32.0);
-        counters_.dramReadBytes.inc((uint64_t)traffic);
-        Cycles done = mem_->readDone(eng_->now(), traffic);
-        T v = mem_->load<T>(a);
-        eng_->waitUntil(done);
-        return v;
     }
 
     /** Scalar (single-lane) store. */

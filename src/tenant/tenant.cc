@@ -99,6 +99,14 @@ TenantRegistry::ioWeightOf(TenantId id) const
 }
 
 void
+TenantRegistry::attachCacheFrames(uint32_t frames)
+{
+    cacheFrames_ = frames;
+    for (Slot& s : slots_)
+        s.frames = 0;
+}
+
+void
 TenantRegistry::noteFrameGained(TenantId id)
 {
     AP_ASSERT(id < slots_.size(), "frame charged to unregistered tenant ",

@@ -121,8 +121,12 @@ class TenantRegistry
     // Page-cache frame accounting (driven by gpufs::PageCache)
     // ------------------------------------------------------------------
 
-    /** The page cache this registry partitions has @p frames frames. */
-    void attachCacheFrames(uint32_t frames) { cacheFrames_ = frames; }
+    /**
+     * The page cache this registry partitions has @p frames frames.
+     * Clears every tenant's frame count; the cache then charges the
+     * frames it already holds.
+     */
+    void attachCacheFrames(uint32_t frames);
 
     /** A frame became owned by a page of tenant @p id. */
     void noteFrameGained(TenantId id);

@@ -108,12 +108,12 @@ namespace ap {
 /**
  * Canonical lock-acquisition order, outermost first: while holding a
  * lock of one class, only classes strictly later in this list may be
- * acquired. aplint reads the directive below; runtime tests cross-check
- * simcheck's observed lock-order graph against the same declaration
- * (tests/sim/test_lock_contracts.cc), so the static and dynamic views
- * can never drift apart silently.
+ * acquired. This initializer is the order's one declaration. aplint
+ * reads it to rank every AP_LOCK_LEVEL class (an unranked one is a
+ * finding) and every statically visible nesting; simcheck ranks each
+ * DeviceLock by the class it is constructed with and reports any
+ * nesting that inverts two ranked classes on every armed run.
  */
-// aplint: lock-order: tlb.entry < pt.bucket < pc.alloc < pc.reserve
 inline constexpr const char* kLockOrder[] = {
     "tlb.entry",
     "pt.bucket",
@@ -132,14 +132,14 @@ struct PteEdge
  * The page-table-entry state machine, every edge a PTE may legally
  * take (paper §4.2 and DESIGN.md §10). "Absent" is the pseudo-state of
  * a slot with no entry: insertion publishes Loading, removal requires
- * the claimed (refcount = −1) reclamation handshake. aplint's
- * typestate pass reads the directive below and verifies every
- * AP_TRANSITIONS declaration and every state publication in the tree
- * against it; tests/sim/test_pte_contracts.cc asserts the same edge
- * set is exactly what simcheck's runtime PteState auditor accepts, so
- * the static and dynamic views can never drift apart silently.
+ * the claimed (refcount = −1) reclamation handshake. This initializer
+ * is the machine's one declaration. aplint's typestate pass reads it
+ * and verifies every AP_TRANSITIONS declaration and every state
+ * publication in the tree against it; simcheck's PteState auditor
+ * checks every runtime commit against it, and
+ * tests/sim/test_pte_contracts.cc asserts the auditor accepts exactly
+ * these edges.
  */
-// aplint: pte-edges: Absent -> Loading, Loading -> Ready, Loading -> Error, Ready -> Claimed, Error -> Claimed, Claimed -> Ready, Claimed -> Absent
 inline constexpr PteEdge kPteStateMachine[] = {
     {"Absent", "Loading"},  // page-table insert, fill pending
     {"Loading", "Ready"},   // fill completed

@@ -50,7 +50,7 @@ TEST(FullStack, MixedApiProducerConsumerPipeline)
         uint32_t start = w.globalWarpId() * per;
         sim::Addr buf = 0;
         {
-            static sim::DeviceLock alloc_lock;
+            static sim::DeviceLock alloc_lock{"test.alloc"};
             alloc_lock.acquire(w);
             buf = w.mem().alloc(per * 4);
             alloc_lock.release(w);

@@ -28,7 +28,7 @@ RunOutcome
 chaoticRun()
 {
     Device dev(CostModel{}, 8 << 20);
-    DeviceLock lock;
+    DeviceLock lock{"test.lock"};
     Addr buf = dev.mem().alloc(64 * 1024);
     Addr ctr = dev.mem().alloc(8);
     Cycles c = dev.launch(6, 10, [&](Warp& w) {

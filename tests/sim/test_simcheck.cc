@@ -64,8 +64,7 @@ TEST_F(SimCheckTest, DetectsUnsynchronizedWritePair)
 TEST_F(SimCheckTest, LockedWritesProduceNoReports)
 {
     Device dev(CostModel{}, 1 << 20);
-    DeviceLock lock;
-    lock.debugName = "test.counter";
+    DeviceLock lock{"test.counter"};
     const Addr addr = 0x2000;
     dev.launch(2, 4, [&](Warp& w) {
         lock.acquire(w);
@@ -83,9 +82,7 @@ TEST_F(SimCheckTest, LockedWritesProduceNoReports)
 TEST_F(SimCheckTest, DetectsLockOrderInversion)
 {
     Device dev(CostModel{}, 1 << 20);
-    DeviceLock a, b;
-    a.debugName = "lock.A";
-    b.debugName = "lock.B";
+    DeviceLock a{"lock.A"}, b{"lock.B"};
     // Warp 0 nests A -> B; warp 1 (staggered far enough that the
     // simulation itself never deadlocks) nests B -> A. The second
     // nesting closes an A/B cycle in the lock-order graph.

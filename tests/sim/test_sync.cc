@@ -9,7 +9,7 @@ namespace {
 TEST(Sync, MutualExclusion)
 {
     Device dev(CostModel{}, 1 << 20);
-    DeviceLock lock;
+    DeviceLock lock{"test.lock"};
     int inCrit = 0, peak = 0;
     dev.launch(4, 8, [&](Warp& w) {
         lock.acquire(w);
@@ -26,7 +26,7 @@ TEST(Sync, MutualExclusion)
 TEST(Sync, AllCriticalSectionsExecute)
 {
     Device dev(CostModel{}, 1 << 20);
-    DeviceLock lock;
+    DeviceLock lock{"test.lock"};
     int count = 0;
     dev.launch(8, 4, [&](Warp& w) {
         lock.acquire(w);
@@ -40,7 +40,7 @@ TEST(Sync, AllCriticalSectionsExecute)
 TEST(Sync, TryAcquireFailsWhenHeld)
 {
     Device dev(CostModel{}, 1 << 20);
-    DeviceLock lock;
+    DeviceLock lock{"test.lock"};
     int failures = 0, successes = 0;
     dev.launch(1, 2, [&](Warp& w) {
         if (w.warpInBlock() == 0) {
@@ -64,7 +64,7 @@ TEST(Sync, TryAcquireFailsWhenHeld)
 TEST(Sync, ContendedAcquireCostsTime)
 {
     Device dev(CostModel{}, 1 << 20);
-    DeviceLock lock;
+    DeviceLock lock{"test.lock"};
     Cycles uncontended = 0, contended = 0;
     dev.launch(1, 2, [&](Warp& w) {
         if (w.warpInBlock() == 0) {
@@ -87,7 +87,7 @@ TEST(Sync, ContendedAcquireCostsTime)
 TEST(Sync, FifoHandoff)
 {
     Device dev(CostModel{}, 1 << 20);
-    DeviceLock lock;
+    DeviceLock lock{"test.lock"};
     std::vector<int> order;
     dev.launch(1, 4, [&](Warp& w) {
         // Stagger arrivals so the queue order is deterministic.

@@ -211,5 +211,34 @@ TEST(TenantCache, SameOffsetDistinctTenantsGetDistinctPages)
     EXPECT_NE(fa, fb);
 }
 
+TEST(TenantCache, AttachingToAWarmCacheChargesResidentFrames)
+{
+    // Fill the cache with no registry, then attach one: every frame
+    // already resident is charged to its page's tenant, so the
+    // evictions that follow un-charge frames that were charged.
+    TenantCacheFixture fx(8);
+    hostio::FileId f = fx.makeFile("f", 32 * 4096);
+    fx.dev->launch(1, 1, [&](sim::Warp& w) {
+        fx.touch(w, tenant::kDefaultTenant, f, 0, 8);
+    });
+    fx.cache->setTenantRegistry(&fx.reg);
+    EXPECT_EQ(fx.reg.framesOf(tenant::kDefaultTenant), 8u);
+    EXPECT_EQ(fx.reg.framesOf(fx.victim.id), 0u);
+
+    fx.dev->launch(1, 1, [&](sim::Warp& w) {
+        w.setTenant(fx.victim.id);
+        fx.touch(w, fx.victim.id, f, 8, 8);
+    });
+    EXPECT_GT(fx.dev->stats().counter("gpufs.evictions"), 0u);
+    // Each tenant is charged exactly the frames its pages still hold.
+    for (tenant::TenantId id : {tenant::kDefaultTenant, fx.victim.id}) {
+        uint64_t resident = 0;
+        for (uint64_t pg = 0; pg < 16; ++pg)
+            resident +=
+                fx.cache->residentRefcountHost(makePageKey(id, f, pg)) >= 0;
+        EXPECT_EQ(fx.reg.framesOf(id), resident) << "asid " << id;
+    }
+}
+
 } // namespace
 } // namespace ap::gpufs

@@ -47,6 +47,31 @@ TEST(TenantTeardown, RuntimeTeardownAfterCleanShutdown)
               tenant::TenantStatus::Unknown);
 }
 
+TEST(TenantTeardown, LeakedTlbRoutedReferenceKeepsTeardownBusy)
+{
+    // The warp links a TLB-routed apointer and never destroys it. Its
+    // TLB dies with the block when the launch returns, but the entry
+    // took page-table references for the warp and never returned
+    // them, so the cache scrub refuses and the ASID stays live.
+    StackFixture fx(tlbConfig());
+    hostio::FileId f = fx.makeWordFile("f", 8192);
+    tenant::TenantRegistry reg;
+    tenant::RegisterResult t1 = reg.registerTenant({"t", 1, 1});
+    ASSERT_TRUE(t1.ok());
+    fx.dev->launch(1, 1, [&](sim::Warp& w) {
+        w.setTenant(t1.id);
+        auto p = gvmmap<uint32_t>(w, *fx.rt, 8 * 4096,
+                                  hostio::O_GRDONLY, f, 0);
+        p.read(w);
+    });
+    EXPECT_GT(fx.fs->cache().residentRefcountHost(
+                  gpufs::makePageKey(t1.id, f, 0)),
+              0);
+    EXPECT_EQ(fx.rt->teardownTenant(reg, t1.id),
+              tenant::TenantStatus::Busy);
+    EXPECT_TRUE(reg.active(t1.id));
+}
+
 /** Arms the checker in report-collection mode (the AP_SIMCHECK suite
  * idiom): reports are recorded for inspection, not fatal. */
 class TenantAuditTest : public ::testing::Test

@@ -1,13 +1,16 @@
-// Fixture: the two lock-order defects — acquiring a registered lock
-// with no AP_ACQUIRES declaration, and nesting against the declared
-// hierarchy. Expected: lock-order (twice). Lint fodder only; never
-// compiled.
-// aplint: lock-order: tlb.entry < pt.bucket < pc.alloc
+// Fixture: the three lock-order defects — registering a lock class
+// kLockOrder does not rank, acquiring a registered lock with no
+// AP_ACQUIRES declaration, and nesting against the declared
+// hierarchy. Expected: lock-order (three times). Lint fodder only;
+// never compiled.
+
+const char* kLockOrder[] = {"tlb.entry", "pt.bucket", "pc.alloc"};
 
 struct Tables
 {
     Lock entry AP_LOCK_LEVEL("tlb.entry");
     Lock bucket AP_LOCK_LEVEL("pt.bucket");
+    Lock staging AP_LOCK_LEVEL("pc.staging"); // BUG: not ranked
 };
 
 void

@@ -3,7 +3,10 @@
 // Loading->Error but neither its body nor any callee ever publishes
 // Error. Expected: state-edge (twice). Lint fodder only.
 
-// aplint: pte-edges: Loading->Ready, Loading->Error
+PteEdge kPteStateMachine[] = {
+    {"Loading", "Ready"},
+    {"Loading", "Error"},
+};
 
 struct Entry
 {

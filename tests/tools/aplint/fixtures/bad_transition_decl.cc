@@ -1,15 +1,12 @@
 // Fixture: broken transition declarations — a malformed edge, an edge
-// absent from the registered machine, an empty list, and a
-// kPteStateMachine initializer that drifted from the directive.
+// absent from the registered machine, and an empty list.
 // Declaration-only methods keep the state-edge witness checks out of
-// the picture. Expected: transition-decl (four times). Lint fodder
+// the picture. Expected: transition-decl (three times). Lint fodder
 // only.
-
-// aplint: pte-edges: Loading->Ready
 
 PteEdge kPteStateMachine[] = {
     {"Loading", "Ready"},
-    {"Ready", "Claimed"}, // BUG: not in the directive above
+    {"Ready", "Claimed"},
 };
 
 struct Pt

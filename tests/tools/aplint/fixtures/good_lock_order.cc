@@ -1,6 +1,7 @@
 // Fixture: declared acquisitions nested in the declared order.
 // Expected: clean. Lint fodder only; never compiled.
-// aplint: lock-order: tlb.entry < pt.bucket < pc.alloc
+
+const char* kLockOrder[] = {"tlb.entry", "pt.bucket", "pc.alloc"};
 
 struct Tables
 {

@@ -3,7 +3,10 @@
 // whose declared edge is witnessed by a declaring callee. Must lint
 // clean.
 
-// aplint: pte-edges: Loading->Ready, Loading->Error
+PteEdge kPteStateMachine[] = {
+    {"Loading", "Ready"},
+    {"Loading", "Error"},
+};
 
 struct Entry
 {

@@ -1,8 +1,6 @@
 // Fixture: transition declarations done right — every edge is
-// well-formed and registered, and the kPteStateMachine initializer
-// matches the directive exactly (content and order). Must lint clean.
-
-// aplint: pte-edges: Loading->Ready, Loading->Error
+// well-formed and registered in the kPteStateMachine initializer.
+// Must lint clean.
 
 PteEdge kPteStateMachine[] = {
     {"Loading", "Ready"},

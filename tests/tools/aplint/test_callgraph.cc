@@ -25,8 +25,7 @@ parseOne(const std::string& src)
 Summaries
 summarize(const std::vector<FileModel>& files)
 {
-    std::vector<Finding> sink;
-    GlobalModel g = buildGlobal(files, sink);
+    GlobalModel g = buildGlobal(files);
     return propagate(buildCallGraph(files), g);
 }
 
@@ -117,8 +116,7 @@ TEST(CallGraph, PropagationDiagnosesInferredYieldInNoYieldBody)
     auto files = parseOne("struct E { void block() AP_YIELDS; };\n"
                           "void helper(E& e) { e.block(); }\n"
                           "void spin(E& e) AP_NO_YIELD { helper(e); }\n");
-    std::vector<Finding> sink;
-    GlobalModel g = buildGlobal(files, sink);
+    GlobalModel g = buildGlobal(files);
     CallGraph cg = buildCallGraph(files);
     Summaries s = propagate(cg, g);
     std::vector<Finding> out;
@@ -135,8 +133,7 @@ TEST(CallGraph, DeclaredContractsAreNotReReported)
     // call site is diagnosed twice.
     auto files = parseOne("struct E { void block() AP_YIELDS; };\n"
                           "void spin(E& e) AP_NO_YIELD { e.block(); }\n");
-    std::vector<Finding> sink;
-    GlobalModel g = buildGlobal(files, sink);
+    GlobalModel g = buildGlobal(files);
     CallGraph cg = buildCallGraph(files);
     Summaries s = propagate(cg, g);
     std::vector<Finding> out;

@@ -26,8 +26,7 @@ flow(const std::string& src)
 {
     std::vector<FileModel> files;
     files.push_back(parseFile("t.cc", src));
-    std::vector<Finding> sink;
-    GlobalModel g = buildGlobal(files, sink);
+    GlobalModel g = buildGlobal(files);
     std::vector<Finding> out;
     runDataflow(files[0], g, nullptr, out);
     return out;
@@ -218,8 +217,7 @@ TEST(Dataflow, MutationDroppingWritebackInspectionFires)
     auto lintSrc = [](const std::string& src) {
         std::vector<FileModel> files;
         files.push_back(parseFile("page_cache.cc", src));
-        std::vector<Finding> sink;
-        GlobalModel g = buildGlobal(files, sink);
+        GlobalModel g = buildGlobal(files);
         std::vector<Finding> out;
         runDataflow(files[0], g, nullptr, out);
         size_t n = 0;

@@ -141,7 +141,6 @@ TEST(Parser, ParsesWaiversAndDirectives)
 {
     FileModel m = parseFile(
         "t.cc",
-        "// aplint: lock-order: tlb.entry < pt.bucket < pc.alloc\n"
         "// aplint: allow-file(leader-only) harness drives the cache\n"
         "void f() {\n"
         "  // aplint: allow(no-yield) wake only, no suspend\n"
@@ -149,11 +148,6 @@ TEST(Parser, ParsesWaiversAndDirectives)
         "  // aplint: allow(lock-order)\n"
         "  h();\n"
         "}\n");
-    ASSERT_EQ(m.lockOrders.size(), 1u);
-    ASSERT_EQ(m.lockOrders[0].size(), 3u);
-    EXPECT_EQ(m.lockOrders[0][0], "tlb.entry");
-    EXPECT_EQ(m.lockOrders[0][2], "pc.alloc");
-
     ASSERT_EQ(m.waivers.size(), 3u);
     EXPECT_TRUE(m.waivers[0].fileScope);
     EXPECT_EQ(m.waivers[0].rule, "leader-only");

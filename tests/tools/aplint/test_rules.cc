@@ -7,7 +7,9 @@
  * the tree-wide self-host scan excludes them.
  */
 
+#include <fstream>
 #include <set>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -63,8 +65,52 @@ TEST(Rules, NoYield)
 
 TEST(Rules, LockOrder)
 {
-    expectExactly(lintFixture("bad_lock_order.cc"), "lock-order", 2);
+    expectExactly(lintFixture("bad_lock_order.cc"), "lock-order", 3);
     expectClean(lintFixture("good_lock_order.cc"));
+}
+
+TEST(Rules, LockOrderIsReadFromTheTable)
+{
+    // The same nesting flips from clean to a finding when two
+    // kLockOrder entries swap: the table is the order's declaration.
+    std::ifstream is(std::string(APLINT_FIXTURE_DIR) +
+                     "/good_lock_order.cc");
+    std::stringstream ss;
+    ss << is.rdbuf();
+    std::string src = ss.str();
+    auto lint = [](const std::string& text) {
+        std::vector<FileModel> files{parseFile("t.cc", text)};
+        GlobalModel g = buildGlobal(files);
+        std::vector<Finding> out;
+        runRules(files[0], g, out);
+        return out;
+    };
+    EXPECT_TRUE(lint(src).empty());
+
+    const std::string ordered = "{\"tlb.entry\", \"pt.bucket\",";
+    const size_t at = src.find(ordered);
+    ASSERT_NE(at, std::string::npos);
+    src.replace(at, ordered.size(), "{\"pt.bucket\", \"tlb.entry\",");
+    std::vector<Finding> out = lint(src);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].rule, "lock-order");
+    EXPECT_NE(out[0].message.find("violates the declared order"),
+              std::string::npos)
+        << out[0].message;
+}
+
+TEST(Rules, TransitionDeclReadsTheTable)
+{
+    // An AP_TRANSITIONS edge missing from the fixture's own
+    // kPteStateMachine table is a finding, beside a malformed edge
+    // and an empty list.
+    Report r = lintFixture("bad_transition_decl.cc");
+    expectExactly(r, "transition-decl", 3);
+    EXPECT_NE(toText(r).find("'Ready->Loading' on unregistered is not an "
+                             "edge of the registered PteState machine"),
+              std::string::npos)
+        << toText(r);
+    expectClean(lintFixture("good_transition_decl.cc"));
 }
 
 TEST(Rules, LinkedEscape)

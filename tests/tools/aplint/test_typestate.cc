@@ -14,6 +14,7 @@
  */
 
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "driver.hh"
 #include "parser.hh"
 #include "typestate.hh"
+#include "util/annotations.hh"
 
 namespace ap::lint {
 namespace {
@@ -31,8 +33,7 @@ ts(const std::string& src)
 {
     std::vector<FileModel> files;
     files.push_back(parseFile("t.cc", src));
-    std::vector<Finding> sink;
-    GlobalModel g = buildGlobal(files, sink);
+    GlobalModel g = buildGlobal(files);
     std::vector<Finding> out;
     runTypestate(files[0], g, nullptr, out);
     return out;
@@ -216,8 +217,7 @@ TEST(Typestate, WitnessChainNamesTheLeakingHelpers)
                     "void helper2(Cache& c) { c.tryRef(1); }\n"
                     "void helper1(Cache& c) { helper2(c); }\n"
                     "void f(Cache& c) AP_BALANCED { helper1(c); }\n"));
-    std::vector<Finding> sink;
-    GlobalModel g = buildGlobal(files, sink);
+    GlobalModel g = buildGlobal(files);
     CallGraph cg = buildCallGraph(files);
     Summaries sums = propagate(cg, g);
     computeRefSummaries(files, g, cg, sums);
@@ -238,7 +238,7 @@ TEST(Typestate, TransitionClosurePropagatesThroughCallGraph)
     std::vector<FileModel> files;
     files.push_back(parseFile(
         "t.cc",
-        "// aplint: pte-edges: Loading->Ready\n"
+        "PteEdge kPteStateMachine[] = {{\"Loading\", \"Ready\"}};\n"
         "struct E { unsigned state; };\n"
         "void pub(E* e) AP_TRANSITIONS(\"Loading->Ready\") {\n"
         "  e->state = PteState::Ready;\n"
@@ -247,8 +247,7 @@ TEST(Typestate, TransitionClosurePropagatesThroughCallGraph)
         "void top(E* e) AP_TRANSITIONS(\"Loading->Ready\") {\n"
         "  mid(e);\n"
         "}\n"));
-    std::vector<Finding> sink;
-    GlobalModel g = buildGlobal(files, sink);
+    GlobalModel g = buildGlobal(files);
     CallGraph cg = buildCallGraph(files);
     Summaries sums = propagate(cg, g);
     computeRefSummaries(files, g, cg, sums);
@@ -278,8 +277,7 @@ lintPageCache(const std::string& hh, const std::string& cc,
     std::vector<FileModel> files;
     files.push_back(parseFile("page_cache.hh", hh));
     files.push_back(parseFile("page_cache.cc", cc));
-    std::vector<Finding> sink;
-    GlobalModel g = buildGlobal(files, sink);
+    GlobalModel g = buildGlobal(files);
     CallGraph cg = buildCallGraph(files);
     Summaries sums = propagate(cg, g);
     computeRefSummaries(files, g, cg, sums);
@@ -385,16 +383,20 @@ TEST(Typestate, SelfhostStrictFindsNothingWithinBudget)
     EXPECT_LT(r.totalMillis, 60000.0) << "selfhost wall-time budget";
 }
 
-TEST(Typestate, EdgeTableInAnnotationsHeaderMatchesItsDirective)
+TEST(Typestate, AnnotationsHeaderRegistersBothTables)
 {
-    // The committed kPteStateMachine initializer and its adjacent
-    // pte-edges directive must agree (the drift diagnostic stays
-    // silent on the real header).
-    Options opts;
-    opts.root = APLINT_SOURCE_DIR;
-    opts.paths = {"src/util/annotations.hh"};
-    Report r = analyze(opts);
-    EXPECT_EQ(r.unwaivedCount(), 0) << toText(r);
+    // aplint reads the lock order and the PteState machine from the
+    // same initializers the simulator compiles: every entry, in order.
+    std::vector<FileModel> files{parseFile(
+        "src/util/annotations.hh", readSource("src/util/annotations.hh"))};
+    GlobalModel g = buildGlobal(files);
+    ASSERT_EQ(g.lockRank.size(), std::size(ap::kLockOrder));
+    for (size_t i = 0; i < std::size(ap::kLockOrder); ++i)
+        EXPECT_EQ(g.lockRank[ap::kLockOrder[i]], static_cast<int>(i));
+    ASSERT_EQ(g.pteEdges.size(), std::size(ap::kPteStateMachine));
+    for (const ap::PteEdge& e : ap::kPteStateMachine)
+        EXPECT_TRUE(g.pteEdges.count(std::string(e.from) + "->" + e.to))
+            << e.from << "->" << e.to;
 }
 
 // ---- output modes and the parse cache ----------------------------------

@@ -6,9 +6,8 @@
  * AP_TRANSITIONS inferred from callees by one fixpoint), and the
  * `contract-propagation` rule pass that diagnoses call sites whose
  * declared contract contradicts the inferred summary — including the
- * interprocedural lock-order closure cross-checked against the
- * canonical lock-order directive (mirrored by ap::kLockOrder and
- * simcheck's runtime graph).
+ * interprocedural lock-order closure ranked by ap::kLockOrder, the
+ * table simcheck's runtime lock graph ranks by too.
  *
  * Soundness limits are documented in DESIGN.md: functions are merged
  * across overloads and classes by unqualified name, calls through

@@ -258,7 +258,7 @@ analyze(const Options& opts)
         ++report.filesScanned;
     }
 
-    GlobalModel g = buildGlobal(models, report.findings);
+    GlobalModel g = buildGlobal(models);
     std::map<std::string, const FileModel*> byPath;
     for (const FileModel& m : models)
         byPath[m.path] = &m;

@@ -4,7 +4,7 @@
  * names (including the AP_* contract annotations) appear verbatim in
  * the token stream, which is exactly what the rules key on.
  * Preprocessor directives are consumed whole, comments are collected
- * separately for waiver/directive scanning.
+ * separately for waiver scanning.
  */
 
 #ifndef APLINT_LEXER_HH
@@ -26,7 +26,7 @@ struct Token
     int line = 0;
 };
 
-/** One comment, kept aside for waiver and directive parsing. */
+/** One comment, kept aside for waiver parsing. */
 struct Comment
 {
     std::string text; ///< without the // or /* */ framing

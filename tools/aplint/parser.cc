@@ -54,7 +54,7 @@ class Parser
     void run()
     {
         parseDecls("");
-        parseDirectives();
+        parseWaivers();
     }
 
   private:
@@ -703,9 +703,9 @@ class Parser
         return "";
     }
 
-    // ---- comment directives --------------------------------------------
+    // ---- waiver comments -----------------------------------------------
 
-    void parseDirectives()
+    void parseWaivers()
     {
         for (const auto& c : m.lx.comments) {
             std::string text = trim(c.text);
@@ -713,52 +713,6 @@ class Parser
             if (tag == std::string::npos)
                 continue;
             std::string body = trim(text.substr(tag + 7));
-            if (body.rfind("lock-order:", 0) == 0) {
-                std::vector<std::string> order;
-                std::string rest = body.substr(11);
-                size_t start = 0;
-                while (start <= rest.size()) {
-                    size_t lt = rest.find('<', start);
-                    std::string item = trim(
-                        rest.substr(start, lt == std::string::npos
-                                               ? std::string::npos
-                                               : lt - start));
-                    if (!item.empty())
-                        order.push_back(item);
-                    if (lt == std::string::npos)
-                        break;
-                    start = lt + 1;
-                }
-                m.lockOrders.push_back(std::move(order));
-                continue;
-            }
-            if (body.rfind("pte-edges:", 0) == 0) {
-                // "A -> B, C -> D, ..." — normalized to "A->B".
-                std::string rest = body.substr(10);
-                size_t start = 0;
-                while (start <= rest.size()) {
-                    size_t comma = rest.find(',', start);
-                    std::string item = trim(
-                        rest.substr(start, comma == std::string::npos
-                                               ? std::string::npos
-                                               : comma - start));
-                    if (!item.empty()) {
-                        size_t arrow = item.find("->");
-                        if (arrow != std::string::npos) {
-                            std::string from =
-                                trim(item.substr(0, arrow));
-                            std::string to =
-                                trim(item.substr(arrow + 2));
-                            item = from + "->" + to;
-                        }
-                        m.pteEdges.push_back(item);
-                    }
-                    if (comma == std::string::npos)
-                        break;
-                    start = comma + 1;
-                }
-                continue;
-            }
             bool fileScope = body.rfind("allow-file(", 0) == 0;
             bool lineScope = body.rfind("allow(", 0) == 0;
             if (!fileScope && !lineScope)

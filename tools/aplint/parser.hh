@@ -4,8 +4,7 @@
  * C++ front end: it recognizes just enough structure for the protocol
  * rules — functions and their trailing AP_* annotations, lock-member
  * registrations, control-flow scopes with their condition identifiers,
- * call sites with receivers, and aplint comment directives (waivers and
- * the lock-order declaration).
+ * call sites with receivers, and aplint waiver comments.
  */
 
 #ifndef APLINT_PARSER_HH
@@ -105,10 +104,6 @@ struct FileModel
     std::vector<Func> funcs;
     std::vector<LockDecl> locks;
     std::vector<Waiver> waivers;
-    /** Orders from lock-order directive comments (a < b < c lists). */
-    std::vector<std::vector<std::string>> lockOrders;
-    /** "A->B" edges from pte-edges directive comments, in order. */
-    std::vector<std::string> pteEdges;
 };
 
 /** Parse one file's source text into the model. */

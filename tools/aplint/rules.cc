@@ -40,6 +40,41 @@ resolveLockClass(const std::string& receiver, const GlobalModel& g,
     return "";
 }
 
+/**
+ * The string literals of @p m's `name[] = {...}` initializer, one row
+ * per element: a flat table gives one-string rows, a table of pairs
+ * two-string rows. Empty if @p m defines no such table.
+ */
+std::vector<std::vector<std::string>>
+tableRows(const FileModel& m, const std::string& name)
+{
+    const std::vector<Token>& toks = m.lx.tokens;
+    std::vector<std::vector<std::string>> rows;
+    for (size_t i = 0; i + 4 < toks.size(); ++i) {
+        if (toks[i].kind != Tok::Ident || toks[i].text != name ||
+            toks[i + 1].text != "[" || toks[i + 2].text != "]" ||
+            toks[i + 3].text != "=" || toks[i + 4].text != "{")
+            continue;
+        int depth = 0;
+        for (size_t j = i + 4; j < toks.size(); ++j) {
+            const Token& t = toks[j];
+            if (t.text == "{") {
+                if (++depth == 2)
+                    rows.emplace_back();
+            } else if (t.text == "}") {
+                if (--depth == 0)
+                    break;
+            } else if (t.kind == Tok::String && t.text.size() >= 2) {
+                if (depth == 1)
+                    rows.emplace_back();
+                rows.back().push_back(t.text.substr(1, t.text.size() - 2));
+            }
+        }
+        break;
+    }
+    return rows;
+}
+
 } // namespace
 
 /**
@@ -276,11 +311,6 @@ ruleLockOrder(const FileModel& m, const Func& f, const GlobalModel& g,
                          "' without declaring AP_ACQUIRES(\"" + cls +
                          "\")");
             }
-            if (!g.lockOrder.empty() && rank(cls) < 0) {
-                emit(out, m, c.line, "lock-order",
-                     "lock class '" + cls +
-                         "' is not in the declared lock-order");
-            }
             for (const HeldRegion& r : regions) {
                 if (r.lockClass == cls || !inRegion(r, c.tokIndex))
                     continue;
@@ -416,8 +446,7 @@ knownRules()
 }
 
 GlobalModel
-buildGlobal(const std::vector<FileModel>& files,
-            std::vector<Finding>& findings)
+buildGlobal(const std::vector<FileModel>& files)
 {
     GlobalModel g;
     for (const FileModel& m : files) {
@@ -455,31 +484,14 @@ buildGlobal(const std::vector<FileModel>& files,
         }
         for (const LockDecl& l : m.locks)
             g.lockNames[l.name] = l.lockClass;
-        for (const auto& order : m.lockOrders) {
-            if (g.lockOrder.empty()) {
-                g.lockOrder = order;
-            } else if (g.lockOrder != order) {
-                findings.push_back(
-                    {m.path, 0, "lock-order",
-                     "conflicting lock-order directives across files",
-                     false});
-            }
-        }
-        if (!m.pteEdges.empty()) {
-            if (g.pteEdges.empty()) {
-                g.pteEdges = m.pteEdges;
-            } else if (g.pteEdges != m.pteEdges) {
-                findings.push_back(
-                    {m.path, 0, "transition-decl",
-                     "conflicting pte-edges directives across files",
-                     false});
-            }
-        }
+        if (g.lockRank.empty())
+            for (const auto& row : tableRows(m, "kLockOrder"))
+                g.lockRank.emplace(row[0], g.lockRank.size());
+        if (g.pteEdges.empty())
+            for (const auto& row : tableRows(m, "kPteStateMachine"))
+                if (row.size() == 2)
+                    g.pteEdges.insert(row[0] + "->" + row[1]);
     }
-    for (const std::string& e : g.pteEdges)
-        g.pteEdgeSet.insert(e);
-    for (size_t i = 0; i < g.lockOrder.size(); ++i)
-        g.lockRank[g.lockOrder[i]] = static_cast<int>(i);
     return g;
 }
 
@@ -499,6 +511,12 @@ runRules(const FileModel& m, const GlobalModel& g,
         ruleLinkedEscape(m, f, g, findings);
         ruleAssertSideEffect(m, f, findings);
     }
+    if (!g.lockRank.empty())
+        for (const LockDecl& l : m.locks)
+            if (!g.lockRank.count(l.lockClass))
+                emit(findings, m, l.line, "lock-order",
+                     "lock class '" + l.lockClass +
+                         "' is not ranked in kLockOrder");
     ruleWaiverSyntax(m, findings);
 }
 

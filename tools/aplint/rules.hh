@@ -31,9 +31,12 @@
  *   state-edge           PteState publication outside the function's
  *                        AP_TRANSITIONS declaration, or a declared
  *                        edge with no witnessing publication
- *   transition-decl      malformed AP_TRANSITIONS edge, an edge not in
- *                        the registered machine, or drift between the
- *                        pte-edges directive and kPteStateMachine
+ *   transition-decl      malformed or empty AP_TRANSITIONS, or an edge
+ *                        not in the registered machine
+ *
+ * Both protocol tables are read from their one declaration in
+ * src/util/annotations.hh: the lock order from the `kLockOrder[]`
+ * initializer and the PteState machine from `kPteStateMachine[]`.
  */
 
 #ifndef APLINT_RULES_HH
@@ -79,8 +82,8 @@ struct GlobalModel
     std::map<std::string, std::set<std::string>> acquires;
     /** lock member/accessor name -> lock class (AP_LOCK_LEVEL). */
     std::map<std::string, std::string> lockNames;
-    /** canonical order, outermost first; empty if no directive. */
-    std::vector<std::string> lockOrder;
+    /** lock class -> position in the kLockOrder[] initializer,
+     *  outermost first; empty if no file defines the table. */
     std::map<std::string, int> lockRank;
     /** function name -> resource class it acquires (AP_ACQUIRES_REF). */
     std::map<std::string, std::string> acquiresRef;
@@ -90,9 +93,8 @@ struct GlobalModel
     std::set<std::string> balanced;
     /** function name -> declared "A->B" edges (AP_TRANSITIONS). */
     std::map<std::string, std::set<std::string>> transitions;
-    /** registered machine from the pte-edges directive, in order. */
-    std::vector<std::string> pteEdges;
-    std::set<std::string> pteEdgeSet;
+    /** "A->B" edges of the kPteStateMachine[] initializer. */
+    std::set<std::string> pteEdges;
 };
 
 // ---- helpers shared with the whole-program passes ----------------------
@@ -134,9 +136,8 @@ size_t chainStart(const std::vector<Token>& toks, size_t i);
 /** All rule IDs aplint can emit (used to validate waivers). */
 const std::set<std::string>& knownRules();
 
-/** Merge annotations and directives from every parsed file. */
-GlobalModel buildGlobal(const std::vector<FileModel>& files,
-                        std::vector<Finding>& findings);
+/** Merge annotations and the protocol tables from every parsed file. */
+GlobalModel buildGlobal(const std::vector<FileModel>& files);
 
 /** Run every rule on one file against the global registries. */
 void runRules(const FileModel& file, const GlobalModel& g,

@@ -625,65 +625,17 @@ checkTransitionDecls(const FileModel& m, const GlobalModel& g,
                 if (g.pteEdges.empty()) {
                     emit(findings, m, a.line, "transition-decl",
                          "AP_TRANSITIONS on " + f.name +
-                             " but no pte-edges directive registers "
+                             " but no kPteStateMachine table registers "
                              "the state machine");
                     continue;
                 }
-                if (!g.pteEdgeSet.count(e))
+                if (!g.pteEdges.count(e))
                     emit(findings, m, a.line, "transition-decl",
                          "transition '" + e + "' on " + f.name +
                              " is not an edge of the "
                              "registered PteState machine");
             }
         }
-    }
-
-    // Drift check: a `kPteStateMachine[] = {{"A","B"},...}` initializer
-    // in this file must list exactly the directive's edges, in order.
-    const std::vector<Token>& toks = m.lx.tokens;
-    for (size_t i = 0; i + 4 < toks.size(); ++i) {
-        if (toks[i].kind != Tok::Ident ||
-            toks[i].text != "kPteStateMachine")
-            continue;
-        if (toks[i + 1].text != "[" || toks[i + 2].text != "]" ||
-            toks[i + 3].text != "=" || toks[i + 4].text != "{")
-            continue;
-        std::vector<std::string> table;
-        int depth = 0;
-        std::vector<std::string> pair;
-        size_t j = i + 4;
-        for (; j < toks.size(); ++j) {
-            const std::string& t = toks[j].text;
-            if (t == "{") {
-                ++depth;
-                if (depth == 2)
-                    pair.clear();
-            } else if (t == "}") {
-                if (depth == 2 && pair.size() == 2)
-                    table.push_back(pair[0] + "->" + pair[1]);
-                if (--depth == 0)
-                    break;
-            } else if (depth == 2 && toks[j].kind == Tok::String) {
-                std::string s = t;
-                if (s.size() >= 2 && s.front() == '"' &&
-                    s.back() == '"')
-                    s = s.substr(1, s.size() - 2);
-                pair.push_back(s);
-            }
-        }
-        if (m.pteEdges.empty()) {
-            emit(findings, m, toks[i].line, "transition-decl",
-                 "kPteStateMachine has no adjacent pte-edges "
-                 "directive for aplint to verify against");
-        } else if (table != m.pteEdges) {
-            emit(findings, m, toks[i].line, "transition-decl",
-                 "kPteStateMachine initializer drifted from "
-                 "the pte-edges directive (" +
-                     std::to_string(table.size()) + " vs " +
-                     std::to_string(m.pteEdges.size()) +
-                     " edges, or order/content differs)");
-        }
-        break;
     }
 }
 

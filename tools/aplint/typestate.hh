@@ -23,11 +23,10 @@
  *                   edge with no witnessing publication in the body
  *                   or a (transitively) declaring callee.
  *
- *   transition-decl Malformed AP_TRANSITIONS edge, an edge absent
- *                   from the registered machine (the `pte-edges:`
- *                   comment directive, the static twin of
- *                   ap::kPteStateMachine), or drift between the
- *                   directive and the kPteStateMachine initializer.
+ *   transition-decl Malformed or empty AP_TRANSITIONS, or an edge
+ *                   absent from the registered machine: the
+ *                   ap::kPteStateMachine initializer, the same table
+ *                   simcheck's page auditor checks every commit by.
  *
  * The abstract domain is one interval [lo, hi] of net acquisitions
  * per resource class, walked by the shared driver (absint.hh). Branch
