@@ -5,7 +5,8 @@
  * switches, event dispatch, memory-model operations, page-table
  * probes, apointer dereference), i.e. how fast the reproduction itself
  * runs — useful when sizing experiments and catching simulator
- * performance regressions.
+ * performance regressions. BM_StatCharge prices one stats charge by
+ * name against one through a StatGroup handle.
  */
 
 #include <memory>
@@ -202,6 +203,64 @@ BM_AptrFaultPath(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_AptrFaultPath);
+
+/** The charge BM_StatCharge times: a counter or a histogram sample,
+ * by name or through a handle. */
+enum class Charge
+{
+    CounterByName,
+    CounterHandle,
+    HistByName,
+    HistHandle,
+};
+
+template <Charge kCharge>
+void
+BM_StatCharge(benchmark::State& state)
+{
+    // The registry a small faulting kernel leaves behind, so a charge
+    // by name walks a realistically sized map: every name the apointer
+    // fault path, TLB, page cache, host IO and fault recorder charge.
+    hostio::BackingStore bs;
+    sim::Device dev(sim::CostModel{}, 64 << 20);
+    hostio::HostIoEngine io(dev, bs);
+    gpufs::Config cfg;
+    cfg.numFrames = 1024;
+    gpufs::GpuFs fs(dev, io, cfg);
+    core::GvmConfig gcfg;
+    gcfg.useTlb = true;
+    core::GvmRuntime rt(fs, gcfg);
+    hostio::FileId f = bs.create("f", 1 << 20);
+    dev.launch(2, 2, [&](sim::Warp& w) {
+        auto p = core::gvmmap<uint32_t>(w, rt, 1 << 20, hostio::O_GRDONLY,
+                                        f, 0);
+        for (int pg = 0; pg < 64; ++pg) {
+            auto q = p.copyUnlinked(w);
+            q.add(w, int64_t(pg % 8) * 1024);
+            (void)q.read(w);
+            q.destroy(w);
+        }
+        p.destroy(w);
+    });
+    StatGroup& st = dev.stats();
+    StatGroup::Counter counter(st, "core.pages_linked");
+    StatGroup::Hist hist(st, "faultpath.minor.lookup");
+    for (auto _ : state) {
+        if constexpr (kCharge == Charge::CounterByName)
+            st.inc("core.pages_linked");
+        else if constexpr (kCharge == Charge::CounterHandle)
+            counter.inc();
+        else if constexpr (kCharge == Charge::HistByName)
+            st.recordValue("faultpath.minor.lookup", 137.0);
+        else
+            hist.record(137.0);
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK_TEMPLATE(BM_StatCharge, Charge::CounterByName);
+BENCHMARK_TEMPLATE(BM_StatCharge, Charge::CounterHandle);
+BENCHMARK_TEMPLATE(BM_StatCharge, Charge::HistByName);
+BENCHMARK_TEMPLATE(BM_StatCharge, Charge::HistHandle);
 
 } // namespace
 } // namespace ap

@@ -441,7 +441,7 @@ class AptrVec
         const AptrCosts& c = rt_->costs();
         gpufs::PageCache& cache = rt_->fs().cache();
         const bool writable = (perm & kPermWrite) != 0;
-        w.stats().inc("core.fault_entries");
+        rt_->counters().faultEntries.inc();
 
         for (;;) {
             // Each aggregated subgroup is one fault record; the clock
@@ -503,7 +503,7 @@ class AptrVec
                     curXpage[l] = lead_xpage;
                     refViaTlb[l] = 0;
                 }
-                w.stats().inc("core.pages_linked");
+                rt_->counters().pagesLinked.inc();
                 fp.end(fault_id, sim::FaultKind::Minor, w.now());
                 w.setActiveFault(0);
                 continue;
@@ -538,7 +538,7 @@ class AptrVec
                 errored_ |= group;
                 if (status_ == hostio::IoStatus::Ok)
                     status_ = ast;
-                w.stats().inc("core.fault_errors");
+                rt_->counters().faultErrors.inc();
                 fp.end(fault_id, sim::FaultKind::Error, w.now());
                 w.setActiveFault(0);
                 continue;
@@ -559,7 +559,7 @@ class AptrVec
                 sim::check::SimCheck::get().pcLink(cache.checkDomain, key,
                                                    count, w.globalWarpId(),
                                                    w.now(), w.tenant());
-            w.stats().inc("core.pages_linked");
+            rt_->counters().pagesLinked.inc();
             // Close the record before running readahead: the
             // speculative fills it kicks off open their own records
             // and must not inherit this demand fault's id.
@@ -622,7 +622,7 @@ class AptrVec
                 cache.releasePage(w, key, count);
             }
             lanes &= ~group;
-            w.stats().inc("core.pages_unlinked");
+            rt_->counters().pagesUnlinked.inc();
         }
     }
 

@@ -44,6 +44,27 @@ struct GvmConfig
 };
 
 /**
+ * The core.* counters the apointer fault and release path charges, as
+ * handles on the device's StatGroup (the translation path builds no
+ * stat name).
+ */
+struct AptrCounters
+{
+    explicit AptrCounters(StatGroup& s)
+        : faultEntries(s, "core.fault_entries"),
+          pagesLinked(s, "core.pages_linked"),
+          faultErrors(s, "core.fault_errors"),
+          pagesUnlinked(s, "core.pages_unlinked")
+    {
+    }
+
+    StatGroup::Counter faultEntries;
+    StatGroup::Counter pagesLinked;
+    StatGroup::Counter faultErrors;
+    StatGroup::Counter pagesUnlinked;
+};
+
+/**
  * Runtime shared by all apointers of a simulation. Host-constructed;
  * device code reaches it through the apointers themselves.
  */
@@ -55,7 +76,8 @@ class GvmRuntime
      * @param cfg policy knobs
      */
     GvmRuntime(gpufs::GpuFs& fs, const GvmConfig& cfg = GvmConfig{})
-        : fs_(&fs), cfg_(cfg), costs_(costsFor(cfg.mode, cfg.kind))
+        : fs_(&fs), cfg_(cfg), costs_(costsFor(cfg.mode, cfg.kind)),
+          counters_(fs.device().stats())
     {
     }
 
@@ -67,6 +89,9 @@ class GvmRuntime
 
     /** Instruction-cost table for the configured mode/kind. */
     const AptrCosts& costs() const { return costs_; }
+
+    /** Handles on the apointer fault and release path's counters. */
+    AptrCounters& counters() { return counters_; }
 
     /**
      * The calling warp's threadblock TLB; created lazily on first use.
@@ -136,6 +161,8 @@ class GvmRuntime
     GvmConfig cfg_;
     AptrCosts costs_;
     hostio::FileId swapFile = -1;
+    // Trivially destructible: it adds no code to the inline destructor.
+    AptrCounters counters_;
 };
 
 } // namespace ap::core

@@ -10,8 +10,15 @@ namespace ap::core {
 SoftTlb::SoftTlb(sim::ThreadBlock& tb, uint32_t n_entries, AptrKind kind,
                  sim::Cycles lock_latency, sim::Device& dev_)
     : nEntries(n_entries), dev(dev_),
-      life("tlb", kTlbEvictReasonNames, "tlb.inserts",
-           "tlb.entry_lifetime", n_entries)
+      life(dev_.stats(), "tlb", kTlbEvictReasonNames, "tlb.inserts",
+           "tlb.entry_lifetime", n_entries),
+      hits(dev_.stats(), "core.tlb_hits"),
+      misses(dev_.stats(), "core.tlb_misses"),
+      bypasses(dev_.stats(), "core.tlb_bypasses"),
+      evictions(dev_.stats(), "core.tlb_evictions"),
+      hitsRetired(dev_.stats(), "tlb.entry_hits_retired"),
+      reuseDistance(dev_.stats(), "tlb.reuse_distance"),
+      lookupCycles(dev_.stats(), "faultpath.tlb.lookup")
 {
     AP_ASSERT(n_entries > 0, "TLB needs at least one entry");
     // Scratchpad accounting per paper section IV-D: 12 B (short) /
@@ -34,8 +41,7 @@ SoftTlb::~SoftTlb()
     // device clock.
     for (uint32_t i = 0; i < nEntries; ++i)
         if (entries[i].key != 0)
-            retire(dev.stats(), i, TlbEvictReason::Teardown,
-                   dev.engine().now());
+            retire(i, TlbEvictReason::Teardown, dev.engine().now());
     // Cross-check: every hit this TLB put into core.tlb_hits must be
     // accounted on exactly one (now retired) entry — a mismatch means
     // some eviction path skipped its retirement.
@@ -45,13 +51,12 @@ SoftTlb::~SoftTlb()
 }
 
 void
-SoftTlb::retire(StatGroup& st, uint32_t slot, TlbEvictReason reason,
-                sim::Cycles now)
+SoftTlb::retire(uint32_t slot, TlbEvictReason reason, sim::Cycles now)
 {
-    const auto rec = life.retire(st, slot, reason, now);
+    const auto rec = life.retire(slot, reason, now);
     AP_ASSERT(rec.live, "TLB retired an entry the ledger never opened");
     if (rec.hits > 0)
-        st.inc("tlb.entry_hits_retired", rec.hits);
+        hitsRetired.inc(rec.hits);
     maybeEmitOccupancy(now);
 }
 
@@ -81,14 +86,14 @@ SoftTlb::lookupAndRef(sim::Warp& w, gpufs::PageKey key, int n,
     w.issue(3);
     w.chargeSharedRead();
     if (e.key != key + 1) {
-        w.stats().inc("core.tlb_misses");
+        misses.inc();
         return false;
     }
     e.entryLock.acquire(w);
     if (e.key != key + 1) {
         // Raced with a discard between probe and lock.
         e.entryLock.release(w);
-        w.stats().inc("core.tlb_misses");
+        misses.inc();
         return false;
     }
     e.count += n;
@@ -102,16 +107,16 @@ SoftTlb::lookupAndRef(sim::Warp& w, gpufs::PageKey key, int n,
     const sim::Cycles th = w.now();
     const auto before = life.hit(slot, th);
     AP_ASSERT(before.live, "TLB hit an entry the ledger never opened");
-    w.stats().recordValue("tlb.reuse_distance", th - before.lastHitCycle);
+    reuseDistance.record(th - before.lastHitCycle);
     localHits++;
     w.chargeSharedWrite();
     e.entryLock.release(w);
-    w.stats().inc("core.tlb_hits");
+    hits.inc();
     // Hit-path latency distribution (includes entry-lock contention):
     // the TLB's whole point is shaving the page-table walk, so the
     // tail of this histogram is the first thing to check when minor
     // faults look slow.
-    w.stats().recordValue("faultpath.tlb.lookup", w.now() - t0);
+    lookupCycles.record(w.now() - t0);
     return true;
 }
 
@@ -136,26 +141,26 @@ SoftTlb::insertAfterAcquire(sim::Warp& w, gpufs::PageKey key,
         // Conflict with a counted entry: evicting it would lose its
         // count, so this page bypasses the TLB (section III-E).
         e.entryLock.release(w);
-        w.stats().inc("core.tlb_bypasses");
+        bypasses.inc();
         return false;
     }
     if (e.key != 0) {
         // Count-zero victim: return its page-table references and
         // discard the stale mapping.
         AP_ASSERT(e.ptRefs > 0, "counted-out TLB entry without refs");
-        retire(w.stats(), slot, TlbEvictReason::Conflict, w.now());
+        retire(slot, TlbEvictReason::Conflict, w.now());
         gpufs::PageKey old_key = e.key - 1;
         int old_refs = e.ptRefs;
         e.key = 0;
         e.ptRefs = 0;
         cache.releasePage(w, old_key, old_refs);
-        w.stats().inc("core.tlb_evictions");
+        evictions.inc();
     }
     e.key = key + 1;
     e.frameAddr = frame_addr;
     e.count = n;
     e.ptRefs = n;
-    life.open(w.stats(), slot, w.now());
+    life.open(slot, w.now());
     maybeEmitOccupancy(w.now());
     w.chargeSharedWrite();
     e.entryLock.release(w);
@@ -180,7 +185,7 @@ SoftTlb::unref(sim::Warp& w, gpufs::PageKey key, int n,
     if (e.count == 0) {
         // Discard the mapping and return the aggregated references
         // (the proactive-decrement heuristic of section III-B).
-        retire(w.stats(), slot, TlbEvictReason::Invalidation, w.now());
+        retire(slot, TlbEvictReason::Invalidation, w.now());
         int refs = e.ptRefs;
         gpufs::PageKey k = e.key - 1;
         e.key = 0;

@@ -64,8 +64,9 @@ class SoftTlb
      * @param kind     apointer kind (entry size: 12 B short, 20 B long,
      *                 plus a 4 B lock each, per paper section IV-D)
      * @param lock_latency cost of an entry-lock operation
-     * @param dev      device whose stats/clock the destructor uses to
-     *                 retire entries still live at launch end
+     * @param dev      device whose stats every charge lands in, and
+     *                 whose clock the destructor uses to retire
+     *                 entries still live at launch end
      */
     SoftTlb(sim::ThreadBlock& tb, uint32_t n_entries, AptrKind kind,
             sim::Cycles lock_latency, sim::Device& dev);
@@ -144,8 +145,7 @@ class SoftTlb
      * before the caller clears the key. Panics if the slot's install
      * never opened a ledger record.
      */
-    void retire(StatGroup& st, uint32_t slot, TlbEvictReason reason,
-                sim::Cycles now);
+    void retire(uint32_t slot, TlbEvictReason reason, sim::Cycles now);
 
     /**
      * Throttled Chrome-trace occupancy sample (tlb.occupancy.blk<id>
@@ -163,6 +163,15 @@ class SoftTlb
      * (the paper's 12/20+4 B per-entry accounting is unchanged). */
     sim::LifetimeLedger<TlbEvictReason, kTlbEvictReasons> life;
     uint64_t localHits = 0;     ///< hits this TLB added to core.tlb_hits
+
+    // Handles on the per-fault stats in dev's group.
+    StatGroup::Counter hits;        ///< core.tlb_hits
+    StatGroup::Counter misses;      ///< core.tlb_misses
+    StatGroup::Counter bypasses;    ///< core.tlb_bypasses
+    StatGroup::Counter evictions;   ///< core.tlb_evictions
+    StatGroup::Counter hitsRetired; ///< tlb.entry_hits_retired
+    StatGroup::Hist reuseDistance;  ///< tlb.reuse_distance
+    StatGroup::Hist lookupCycles;   ///< faultpath.tlb.lookup
 };
 
 } // namespace ap::core

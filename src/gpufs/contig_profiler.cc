@@ -17,7 +17,7 @@ ContigProfiler::dropRunLength(uint64_t len)
 }
 
 void
-ContigProfiler::noteResidentPage(StatGroup& st, PageKey key)
+ContigProfiler::noteResidentPage(PageKey key)
 {
     auto& m = groups[groupOf(key)];
     const uint64_t p = pageKeyPageNo(key);
@@ -44,16 +44,16 @@ ContigProfiler::noteResidentPage(StatGroup& st, PageKey key)
         len += right->second;
         m.erase(right);
         if (extended_left)
-            st.inc("contig.merges"); // p bridged two existing runs
+            merges.inc(); // p bridged two existing runs
     }
     m[start] = len;
     runLengths.insert(len);
     resident++;
-    st.setMax("contig.max_run", static_cast<double>(len));
+    maxRun.setMax(static_cast<double>(len));
 }
 
 void
-ContigProfiler::noteEvictedPage(StatGroup& st, PageKey key)
+ContigProfiler::noteEvictedPage(PageKey key)
 {
     auto gi = groups.find(groupOf(key));
     if (gi == groups.end())
@@ -79,15 +79,16 @@ ContigProfiler::noteEvictedPage(StatGroup& st, PageKey key)
         runLengths.insert(start + len - p - 1);
     }
     if (p > start && p + 1 < start + len)
-        st.inc("contig.splits"); // interior eviction: one run became two
+        splits.inc(); // interior eviction: one run became two
     resident--;
     if (m.empty())
         groups.erase(gi);
 }
 
 void
-ContigProfiler::exportSnapshot(StatGroup& st) const
+ContigProfiler::exportSnapshot() const
 {
+    StatGroup& st = *stats;
     // Reset every histogram under the contig. prefix from a previous
     // snapshot; the map is name-sorted, so the prefix range is
     // contiguous. (Collect names first: histogram() may insert.)

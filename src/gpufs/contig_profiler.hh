@@ -10,8 +10,9 @@
  * Maintained incrementally from the cache's frame bind/unbind
  * notifications: O(log runs) per event via interval maps, so the
  * fault path never scans residency. Always-on counters (contig.merges,
- * contig.splits, contig.max_run) are cheap; the full run-length
- * histograms are rebuilt on demand by exportSnapshot().
+ * contig.splits, contig.max_run) are cheap: the profiler is bound to
+ * its StatGroup at construction and charges them through handles. The
+ * full run-length histograms are rebuilt on demand by exportSnapshot().
  */
 
 #ifndef AP_GPUFS_CONTIG_PROFILER_HH
@@ -30,20 +31,27 @@ namespace ap::gpufs {
 class ContigProfiler
 {
   public:
+    /** Charge every stat to @p st. */
+    explicit ContigProfiler(StatGroup& st)
+        : stats(&st), merges(st, "contig.merges"),
+          splits(st, "contig.splits"), maxRun(st, "contig.max_run")
+    {
+    }
+
     /**
      * Page @p key became resident (its frame was bound). Extends or
      * fuses neighbouring runs; a fuse of two existing runs counts
      * contig.merges, and the resulting run length feeds the
-     * contig.max_run high-water scalar in @p st.
+     * contig.max_run high-water scalar.
      */
-    void noteResidentPage(StatGroup& st, PageKey key);
+    void noteResidentPage(PageKey key);
 
     /**
      * Page @p key left residency (its frame was unbound). Shrinks or
      * splits the containing run; an interior eviction that splits one
      * run into two counts contig.splits.
      */
-    void noteEvictedPage(StatGroup& st, PageKey key);
+    void noteEvictedPage(PageKey key);
 
     /** Pages currently resident (as seen through bind/unbind). */
     uint64_t residentPages() const { return resident; }
@@ -59,7 +67,7 @@ class ContigProfiler
     }
 
     /**
-     * Rebuild the snapshot statistics in @p st: the aggregate
+     * Rebuild the snapshot statistics: the aggregate
      * contig.runs histogram, one contig.[t<asid>.]f<file>.runs
      * histogram per group with resident pages, and the
      * contig.resident_pages / contig.resident_runs /
@@ -67,7 +75,7 @@ class ContigProfiler
      * prefix are reset first, so a group that went fully non-resident
      * never lingers stale from an earlier snapshot.
      */
-    void exportSnapshot(StatGroup& st) const;
+    void exportSnapshot() const;
 
   private:
     /** (tenant, file) group of @p key: everything above the page no. */
@@ -86,6 +94,11 @@ class ContigProfiler
     std::multiset<uint64_t> runLengths;
 
     uint64_t resident = 0;
+
+    StatGroup* stats;
+    StatGroup::Counter merges;
+    StatGroup::Counter splits;
+    StatGroup::Peak maxRun;
 };
 
 } // namespace ap::gpufs

@@ -8,7 +8,10 @@ namespace ap::gpufs {
 
 CpuCentricVm::CpuCentricVm(sim::Device& dev_, hostio::HostIoEngine& io_,
                            uint32_t num_frames)
-    : dev(&dev_), io(&io_), nFrames(num_frames)
+    : dev(&dev_), io(&io_), nFrames(num_frames),
+      hits_(dev_.stats(), "cpuvm.hits"), faults_(dev_.stats(), "cpuvm.faults"),
+      serviced_(dev_.stats(), "cpuvm.faults_serviced"),
+      revocations_(dev_.stats(), "cpuvm.revocations")
 {
     AP_ASSERT(num_frames > 0, "need at least one frame");
     framesBase = dev->mem().alloc(
@@ -39,7 +42,7 @@ CpuCentricVm::serviceFault(PageKey key)
         AP_ASSERT(it != table.end(), "fifo/table mismatch");
         frame = it->second;
         table.erase(it);
-        dev->stats().inc("cpuvm.revocations");
+        revocations_.inc();
     }
 
     hostio::FileId f = pageKeyFile(key);
@@ -53,7 +56,7 @@ CpuCentricVm::serviceFault(PageKey key)
 
     table.emplace(key, frame);
     fifo.push_back(key);
-    dev->stats().inc("cpuvm.faults_serviced");
+    serviced_.inc();
 
     auto wit = inFlight.find(key);
     AP_ASSERT(wit != inFlight.end(), "fault with no waiters");
@@ -70,13 +73,13 @@ CpuCentricVm::translate(sim::Warp& w, hostio::FileId f, uint64_t page_no)
     auto it = table.find(key);
     if (it != table.end()) {
         // Hardware translation: no software cost at all.
-        dev->stats().inc("cpuvm.hits");
+        hits_.inc();
         return frameAddr(it->second);
     }
 
     const sim::CostModel& cm = dev->costModel();
     sim::Engine& eng = dev->engine();
-    dev->stats().inc("cpuvm.faults");
+    faults_.inc();
 
     auto& waiters = inFlight[key];
     bool first = waiters.empty();

@@ -81,6 +81,12 @@ class CpuCentricVm
 
     /** Serialized CPU driver contexts. */
     std::vector<sim::BwServer> handlers;
+
+    // Handles on the cpuvm.* stats, charged per translation and fault.
+    StatGroup::Counter hits_;        ///< cpuvm.hits
+    StatGroup::Counter faults_;      ///< cpuvm.faults
+    StatGroup::Counter serviced_;    ///< cpuvm.faults_serviced
+    StatGroup::Counter revocations_; ///< cpuvm.revocations
 };
 
 } // namespace ap::gpufs

@@ -37,12 +37,36 @@ streamIdOf(PageKey key)
 
 } // namespace
 
+PageCache::Stats::Stats(StatGroup& s)
+    : minorFaults(s, "gpufs.minor_faults"),
+      majorFaults(s, "gpufs.major_faults"), zeroFills(s, "gpufs.zero_fills"),
+      releases(s, "gpufs.releases"), evictions(s, "gpufs.evictions"),
+      bucketEvictions(s, "gpufs.bucket_evictions"),
+      writebacks(s, "gpufs.writebacks"),
+      prefetchRequests(s, "gpufs.prefetch_requests"),
+      prefetchedPages(s, "gpufs.prefetched_pages"),
+      prefetchDropped(s, "gpufs.prefetch_dropped"),
+      issued(s, "prefetch.issued"), dropped(s, "prefetch.dropped"),
+      throttled(s, "prefetch.throttled"), useful(s, "prefetch.useful"),
+      late(s, "prefetch.late"), wasted(s, "prefetch.wasted"),
+      reserveHits(s, "tenant.reserve_hits"),
+      reserveRefills(s, "tenant.reserve_refills"),
+      evictSkipped(s, "tenant.evict_skipped"),
+      crossEvictions(s, "tenant.cross_evictions"),
+      issueBurst(s, "faultpath.prefetch.issue_burst"),
+      demandHits(s, "pagecache.life.demand_hits"),
+      fillToFirstHit(s, "pagecache.life.fill_to_first_hit")
+{
+}
+
 PageCache::PageCache(sim::Device& dev_, hostio::HostIoEngine& io_,
                      const Config& cfg_)
     : dev(&dev_), io(&io_), cfg(cfg_), pt(dev_, cfg_),
-      life("pagecache", kPageEvictReasonNames, "pagecache.life.fills",
-           "pagecache.life.lifetime", cfg_.numFrames),
-      streams_(cfg_.readahead)
+      life(dev_.stats(), "pagecache", kPageEvictReasonNames,
+           "pagecache.life.fills", "pagecache.life.lifetime",
+           cfg_.numFrames),
+      contigProf(dev_.stats()), streams_(cfg_.readahead),
+      stats_(dev_.stats())
 {
     framesBase = dev->mem().alloc(
         static_cast<size_t>(cfg.numFrames) * kPageBytes, kPageBytes);
@@ -65,8 +89,8 @@ PageCache::noteFrameBound(PageKey key, uint32_t frame, sim::Cycles now)
 {
     if (registry_)
         registry_->noteFrameGained(pageKeyAsid(key));
-    life.open(dev->stats(), frame, now);
-    contigProf.noteResidentPage(dev->stats(), key);
+    life.open(frame, now);
+    contigProf.noteResidentPage(key);
     maybeEmitCacheCounters(now);
 }
 
@@ -76,11 +100,10 @@ PageCache::noteFrameUnbound(PageKey key, uint32_t frame,
 {
     if (registry_)
         registry_->noteFrameLost(pageKeyAsid(key));
-    const auto rec = life.retire(dev->stats(), frame, reason, now);
+    const auto rec = life.retire(frame, reason, now);
     if (rec.live)
-        dev->stats().recordValue("pagecache.life.demand_hits",
-                                 static_cast<double>(rec.hits));
-    contigProf.noteEvictedPage(dev->stats(), key);
+        stats_.demandHits.record(static_cast<double>(rec.hits));
+    contigProf.noteEvictedPage(key);
     maybeEmitCacheCounters(now);
 }
 
@@ -90,8 +113,7 @@ PageCache::noteFrameDemandHit(uint32_t frame, sim::Cycles now)
     // A frame recycled mid-flight is not live; the ledger ignores it.
     const auto rec = life.hit(frame, now);
     if (rec.live && rec.hits == 0)
-        dev->stats().recordValue("pagecache.life.fill_to_first_hit",
-                                 now - rec.openCycle);
+        stats_.fillToFirstHit.record(now - rec.openCycle);
 }
 
 void
@@ -113,7 +135,7 @@ PageCache::maybeEmitCacheCounters(sim::Cycles now)
 void
 PageCache::exportTranslationStatsHost()
 {
-    contigProf.exportSnapshot(dev->stats());
+    contigProf.exportSnapshot();
 }
 
 bool
@@ -360,7 +382,7 @@ PageCache::acquirePage(sim::Warp& w, PageKey key, int count, bool writable,
                     w.chargeGlobalWrite(sizeof(FrameMeta));
                 }
             }
-            dev->stats().inc("gpufs.minor_faults");
+            stats_.minorFaults.inc();
             noteTenantFault(key, "minor_faults", w.now() - t0);
             noteFrameDemandHit(e.frame, w.now());
             return AcquireResult{frameAddr(e.frame), e.frame, false,
@@ -438,7 +460,7 @@ PageCache::acquirePage(sim::Warp& w, PageKey key, int count, bool writable,
                 noteFrameUnbound(victim, e.frame,
                                  PageEvictReason::BucketOverflow, w.now());
                 w.chargeGlobalWrite(sizeof(Pte) + sizeof(FrameMeta));
-                dev->stats().inc("gpufs.bucket_evictions");
+                stats_.bucketEvictions.inc();
                 displaced = e.frame;
                 slot = s;
                 break;
@@ -464,7 +486,7 @@ PageCache::acquirePage(sim::Warp& w, PageKey key, int count, bool writable,
             // Anonymous first touch: a zeroed frame, no host transfer.
             zeroTail(frameAddr(frame), 0);
             w.chargeGlobalWrite(static_cast<double>(kPageBytes));
-            dev->stats().inc("gpufs.zero_fills");
+            stats_.zeroFills.inc();
         } else {
             fill = fetchPage(w, key, frame);
         }
@@ -477,7 +499,7 @@ PageCache::acquirePage(sim::Warp& w, PageKey key, int count, bool writable,
                      w.now());
         w.chargeGlobalWrite(4);
         dev->faultPath().stamp(fid, sim::FaultStage::Fill, w.now());
-        dev->stats().inc("gpufs.major_faults");
+        stats_.majorFaults.inc();
         noteTenantFault(key, "major_faults", w.now() - t0);
         // The major-faulting warp's own access is the frame's first
         // demand touch: only frames nobody ever demanded (speculative
@@ -498,7 +520,7 @@ PageCache::releasePage(sim::Warp& w, PageKey key, int count)
     if (SimCheck::armed)
         SimCheck::get().pcRefAdjust(checkDomain, key, -count,
                                     w.globalWarpId(), w.now());
-    dev->stats().inc("gpufs.releases");
+    stats_.releases.inc();
 }
 
 PrefetchResult
@@ -520,7 +542,7 @@ PageCache::prefetchPage(sim::Warp& w, PageKey key, bool speculative)
     // never evict a resident page to make room for a guess.
     uint32_t frame = tryAllocFrame(w);
     if (frame == UINT32_MAX) {
-        dev->stats().inc("gpufs.prefetch_dropped");
+        stats_.prefetchDropped.inc();
         return PrefetchResult::NoFrame;
     }
     uint32_t b = pt.bucketOf(key);
@@ -534,7 +556,7 @@ PageCache::prefetchPage(sim::Warp& w, PageKey key, bool speculative)
         freeFrame(w, frame);
         if (present)
             return PrefetchResult::Resident;
-        dev->stats().inc("gpufs.prefetch_dropped");
+        stats_.prefetchDropped.inc();
         return PrefetchResult::NoEntry;
     }
     // Speculative fills are charged to the tenant they guess for: a
@@ -573,7 +595,7 @@ PageCache::prefetchPage(sim::Warp& w, PageKey key, bool speculative)
             // Host-side Ready publication: faulting warps that acquire
             // the state word see the DMA'd bytes.
             publishReady(state_addr, key, -1, now);
-            dev->stats().inc("gpufs.prefetched_pages");
+            stats_.prefetchedPages.inc();
             dev->faultPath().stamp(pfid, sim::FaultStage::Fill, now);
             dev->faultPath().end(pfid, sim::FaultKind::SpecFill, now);
         };
@@ -588,7 +610,7 @@ PageCache::prefetchPage(sim::Warp& w, PageKey key, bool speculative)
     w.setActiveFault(saved_fid);
     if (sync != hostio::IoStatus::Ok)
         on_done(sync); // range re-validation failed; unreachable today
-    dev->stats().inc("gpufs.prefetch_requests");
+    stats_.prefetchRequests.inc();
     return PrefetchResult::Started;
 }
 
@@ -611,7 +633,7 @@ PageCache::readahead(sim::Warp& w, PageKey key)
     p.queueDepth = io->queueDepth();
     const uint32_t allow = prefetch::throttleAllow(d.count, p, cfg.readahead);
     if (allow < d.count)
-        dev->stats().inc("prefetch.throttled", d.count - allow);
+        stats_.throttled.inc(d.count - allow);
 
     // Issue the chunk. `covered` counts pages the stream cursor may
     // advance past: fills actually started plus pages already
@@ -631,12 +653,12 @@ PageCache::readahead(sim::Warp& w, PageKey key)
             true);
         if (r == PrefetchResult::Started) {
             ++covered;
-            dev->stats().inc("prefetch.issued");
+            stats_.issued.inc();
         } else if (r == PrefetchResult::Resident) {
             ++covered;
         } else {
             if (r == PrefetchResult::NoFrame || r == PrefetchResult::NoEntry)
-                dev->stats().inc("prefetch.dropped");
+                stats_.dropped.inc();
             break;
         }
     }
@@ -644,8 +666,7 @@ PageCache::readahead(sim::Warp& w, PageKey key)
     // The burst runs on the faulting warp's leader lane after its own
     // fault closed, so this cost is handler overhead, not fault
     // latency — tracked separately so it can't hide in either.
-    dev->stats().recordValue("faultpath.prefetch.issue_burst",
-                             w.now() - issue_t0);
+    stats_.issueBurst.record(w.now() - issue_t0);
 }
 
 uint32_t
@@ -666,12 +687,12 @@ void
 PageCache::settleSpecPage(PageKey key, bool hit, bool late)
 {
     if (hit) {
-        dev->stats().inc("prefetch.useful");
+        stats_.useful.inc();
         if (late)
-            dev->stats().inc("prefetch.late");
+            stats_.late.inc();
         streams_.onHit(streamIdOf(key), pageKeyPageNo(key));
     } else {
-        dev->stats().inc("prefetch.wasted");
+        stats_.wasted.inc();
         streams_.onThrash(streamIdOf(key), pageKeyPageNo(key));
     }
 }
@@ -692,7 +713,7 @@ PageCache::allocFrame(sim::Warp& w)
             reserveFrames.pop_back();
             w.issue(2);
             reserveLock.release(w);
-            dev->stats().inc("tenant.reserve_hits");
+            stats_.reserveHits.inc();
             return f;
         }
         reserveLock.release(w);
@@ -776,7 +797,7 @@ PageCache::allocFrame(sim::Warp& w)
             tenant::TenantId self = w.tenant();
             if (owner != self && !(registry_->overShare(owner) &&
                                    !registry_->overShare(self))) {
-                dev->stats().inc("tenant.evict_skipped");
+                stats_.evictSkipped.inc();
                 continue;
             }
         }
@@ -847,9 +868,9 @@ PageCache::allocFrame(sim::Warp& w)
         noteFrameUnbound(c.key, c.frame, reason, w.now());
         vlk.release(w);
 
-        dev->stats().inc("gpufs.evictions");
+        stats_.evictions.inc();
         if (registry_ && pageKeyAsid(c.key) != w.tenant())
-            dev->stats().inc("tenant.cross_evictions");
+            stats_.crossEvictions.inc();
     };
 
     for (size_t i = 0; i < n_extras; ++i) {
@@ -858,7 +879,7 @@ PageCache::allocFrame(sim::Warp& w)
         reserveFrames.push_back(extras[i].frame);
         w.issue(2);
         reserveLock.release(w);
-        dev->stats().inc("tenant.reserve_refills");
+        stats_.reserveRefills.inc();
     }
     scrubVictim(primary, false);
     return primary.frame;
@@ -890,7 +911,7 @@ PageCache::writeback(sim::Warp& w, PageKey key, uint32_t frame)
         warn("writeback of page ", pageKeyPageNo(key), " in file ",
              sp.file, " failed terminally: ", hostio::ioStatusName(st));
     }
-    dev->stats().inc("gpufs.writebacks");
+    stats_.writebacks.inc();
 }
 
 hostio::IoStatus

@@ -532,6 +532,41 @@ class PageCache
     /** Readahead streams: advanced by readahead(), fed each
      * speculative page's fate by settleSpecPage and fill errors. */
     prefetch::StreamTable streams_;
+
+    /**
+     * Handles on every stat the cache charges per fault, per page move
+     * or per readahead decision. Error and teardown paths, and the
+     * registry's per-tenant names, still charge by name.
+     */
+    struct Stats
+    {
+        explicit Stats(StatGroup& s);
+
+        StatGroup::Counter minorFaults;      ///< gpufs.minor_faults
+        StatGroup::Counter majorFaults;      ///< gpufs.major_faults
+        StatGroup::Counter zeroFills;        ///< gpufs.zero_fills
+        StatGroup::Counter releases;         ///< gpufs.releases
+        StatGroup::Counter evictions;        ///< gpufs.evictions
+        StatGroup::Counter bucketEvictions;  ///< gpufs.bucket_evictions
+        StatGroup::Counter writebacks;       ///< gpufs.writebacks
+        StatGroup::Counter prefetchRequests; ///< gpufs.prefetch_requests
+        StatGroup::Counter prefetchedPages;  ///< gpufs.prefetched_pages
+        StatGroup::Counter prefetchDropped;  ///< gpufs.prefetch_dropped
+        StatGroup::Counter issued;           ///< prefetch.issued
+        StatGroup::Counter dropped;          ///< prefetch.dropped
+        StatGroup::Counter throttled;        ///< prefetch.throttled
+        StatGroup::Counter useful;           ///< prefetch.useful
+        StatGroup::Counter late;             ///< prefetch.late
+        StatGroup::Counter wasted;           ///< prefetch.wasted
+        StatGroup::Counter reserveHits;      ///< tenant.reserve_hits
+        StatGroup::Counter reserveRefills;   ///< tenant.reserve_refills
+        StatGroup::Counter evictSkipped;     ///< tenant.evict_skipped
+        StatGroup::Counter crossEvictions;   ///< tenant.cross_evictions
+        StatGroup::Hist issueBurst;     ///< faultpath.prefetch.issue_burst
+        StatGroup::Hist demandHits;     ///< pagecache.life.demand_hits
+        StatGroup::Hist fillToFirstHit; ///< pagecache.life.fill_to_first_hit
+    };
+    Stats stats_;
 };
 
 } // namespace ap::gpufs

@@ -31,10 +31,24 @@ constexpr uint64_t kUnboundedCredit = std::numeric_limits<uint64_t>::max();
 
 } // namespace
 
+HostIoEngine::Stats::Stats(StatGroup& s)
+    : readRequests(s, "hostio.read_requests"),
+      writeRequests(s, "hostio.write_requests"),
+      readBytes(s, "hostio.read_bytes"), writeBytes(s, "hostio.write_bytes"),
+      lowPriority(s, "hostio.low_priority_requests"),
+      transfers(s, "hostio.transfers"),
+      batchedRequests(s, "hostio.batched_requests"),
+      qosDispatches(s, "hostio.qos_dispatches"),
+      retries(s, "hostio.retries"),
+      injectedFaults(s, "hostio.injected_faults"),
+      injectedDelays(s, "hostio.injected_delays"), rpcs(s, "hostio.rpcs")
+{
+}
+
 HostIoEngine::HostIoEngine(sim::Device& dev_, BackingStore& store)
     : dev(&dev_), store_(&store),
       pcieToGpu(dev_.costModel().pcieBytesPerCycle),
-      pcieToHost(dev_.costModel().pcieBytesPerCycle)
+      pcieToHost(dev_.costModel().pcieBytesPerCycle), stats_(dev_.stats())
 {
 }
 
@@ -54,7 +68,7 @@ HostIoEngine::injectedDelay(const Request& r)
         return 0;
     sim::Cycles d = injector->completionDelay(r.file, r.off, r.attempt);
     if (d > 0)
-        dev->stats().inc("hostio.injected_delays");
+        stats_.injectedDelays.inc();
     return d;
 }
 
@@ -96,11 +110,10 @@ HostIoEngine::start(sim::Warp& w, Request r)
         dev->stats().inc("hostio.failures");
         return v;
     }
-    StatGroup& st = dev->stats();
-    st.inc(r.write ? "hostio.write_requests" : "hostio.read_requests");
-    st.inc(r.write ? "hostio.write_bytes" : "hostio.read_bytes", r.len);
+    (r.write ? stats_.writeRequests : stats_.readRequests).inc();
+    (r.write ? stats_.writeBytes : stats_.readBytes).inc(r.len);
     if (r.low)
-        st.inc("hostio.low_priority_requests");
+        stats_.lowPriority.inc();
     // Enqueue the request into the host RPC ring (a few stores over
     // PCIe-visible memory plus a doorbell).
     w.issue(8);
@@ -166,7 +179,7 @@ HostIoEngine::ship(std::vector<Request> group, size_t bytes,
     inflight += group.size();
     // The transfer is counted when the DMA lands, batched or not.
     dev->engine().schedule(done + delay, [this, group = std::move(group)] {
-        dev->stats().inc("hostio.transfers");
+        stats_.transfers.inc();
         inflight -= group.size();
         for (const Request& r : group) {
             dev->faultPath().stamp(r.fid, sim::FaultStage::TransferEnd,
@@ -185,7 +198,7 @@ HostIoEngine::complete(const Request& r)
         fl = r.write ? injector->onWrite(r.file, r.off, r.len, r.attempt)
                      : injector->onRead(r.file, r.off, r.len, r.attempt);
     if (fl != Fault::None) {
-        dev->stats().inc("hostio.injected_faults");
+        stats_.injectedFaults.inc();
         finish(r, fl == Fault::Transient ? IoStatus::Again
                                          : IoStatus::IoError);
         return;
@@ -212,7 +225,7 @@ HostIoEngine::finish(const Request& r, IoStatus st)
         if (r.attempt + 1 < retry.maxAttempts) {
             // Back off (capped exponential) and re-submit alone, so a
             // poisoned attempt leaves the batch it rode in on.
-            dev->stats().inc("hostio.retries");
+            stats_.retries.inc();
             dev->faultPath().attempt(r.fid);
             sim::Engine& eng = dev->engine();
             Request nr = r;
@@ -334,10 +347,10 @@ HostIoEngine::dispatch()
 
         const size_t n = group.size();
         host_free += static_cast<double>(n) * cm.hostRequestCost;
-        StatGroup& st = dev->stats();
-        st.inc("hostio.batched_requests", n);
+        stats_.batchedRequests.inc(n);
         if (registry_) {
-            st.inc("hostio.qos_dispatches");
+            stats_.qosDispatches.inc();
+            StatGroup& st = dev->stats();
             const std::string& pfx = registry_->statPrefix(asid);
             st.inc(pfx + "io_requests", n);
             st.inc(pfx + "io_bytes", bytes);
@@ -373,7 +386,7 @@ HostIoEngine::rpc(sim::Warp& w, const std::function<int64_t()>& host_fn)
 {
     const sim::CostModel& cm = dev->costModel();
     sim::Engine& eng = dev->engine();
-    dev->stats().inc("hostio.rpcs");
+    stats_.rpcs.inc();
     w.issue(8);
 
     int64_t result = 0;

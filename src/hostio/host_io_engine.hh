@@ -282,6 +282,31 @@ class HostIoEngine
     tenant::TenantId rrCursor = 0; ///< next ASID the DRR visits
     bool dispatchScheduled = false;
     size_t inflight = 0;      ///< shipped requests whose DMA is in flight
+
+    /**
+     * Handles on every stat charged per request, transfer, attempt or
+     * dispatch. Failures and the registry's per-tenant names still
+     * charge by name.
+     */
+    struct Stats
+    {
+        explicit Stats(StatGroup& s);
+
+        StatGroup::Counter readRequests;    ///< hostio.read_requests
+        StatGroup::Counter writeRequests;   ///< hostio.write_requests
+        StatGroup::Counter readBytes;       ///< hostio.read_bytes
+        StatGroup::Counter writeBytes;      ///< hostio.write_bytes
+        StatGroup::Counter lowPriority;     ///< hostio.low_priority_requests
+        StatGroup::Counter transfers;       ///< hostio.transfers
+        StatGroup::Counter batchedRequests; ///< hostio.batched_requests
+        StatGroup::Counter qosDispatches;   ///< hostio.qos_dispatches
+        StatGroup::Counter retries;         ///< hostio.retries
+        StatGroup::Counter injectedFaults;  ///< hostio.injected_faults
+        StatGroup::Counter injectedDelays;  ///< hostio.injected_delays
+        StatGroup::Counter rpcs;            ///< hostio.rpcs
+    };
+    // Trivially destructible: it adds no code to the inline destructor.
+    Stats stats_;
 };
 
 } // namespace ap::hostio

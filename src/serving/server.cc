@@ -76,7 +76,7 @@ class Scheduler
               uint32_t workers, StatGroup& stats,
               std::vector<TenantTraffic> traffic,
               const std::vector<uint16_t>& asids)
-        : cfg_(cfg), wl_(&wl), stats_(&stats),
+        : cfg_(cfg), wl_(&wl), stats_(stats),
           rng_(cfg.seed ^ 0x53455256ULL),
           maxInFlight_(cfg.maxInFlight ? cfg.maxInFlight : workers),
           perTenantStats_(cfg.tenants.size() > 0)
@@ -87,13 +87,16 @@ class Scheduler
             TrafficClass tc;
             tc.t = traffic[i];
             tc.asid = asids[i];
-            tc.statPrefix =
-                "serving.t" + std::to_string(asids[i]) + ".";
+            tc.e2eName =
+                "serving.t" + std::to_string(asids[i]) + ".e2e";
             AP_ASSERT(tc.t.clients > 0 && tc.t.requests > 0,
                       "a serving tenant needs clients and requests");
             totalRequests_ += tc.t.requests;
             classes_.push_back(std::move(tc));
         }
+        // classes_ is final, so the names stay put under the handles.
+        for (const TrafficClass& tc : classes_)
+            tenantE2e_.emplace_back(stats, tc.e2eName.c_str());
         reqs_.reserve(totalRequests_);
         if (cfg_.arrival == Arrival::Closed) {
             for (uint32_t x = 0; x < classes_.size(); ++x) {
@@ -125,15 +128,14 @@ class Scheduler
         if (!queue_.empty() && inFlight_ < maxInFlight_) {
             if (cfg_.ioDepthCap && io_depth > cfg_.ioDepthCap) {
                 deferrals_++;
-                stats_->inc("serving.io_deferrals");
+                stats_.ioDeferrals.inc();
                 return wait(now + cfg_.pollCycles, now);
             }
             uint32_t id = queue_.front();
             queue_.pop_front();
             inFlight_++;
             reqs_[id].claimed = now;
-            stats_->recordValue("serving.queue_wait",
-                                now - reqs_[id].arrival);
+            stats_.queueWait.record(now - reqs_[id].arrival);
             return Decision{Action::Serve, id, 0};
         }
         double until = now + cfg_.pollCycles;
@@ -151,12 +153,11 @@ class Scheduler
         completed_++;
         TrafficClass& tc = classes_[reqs_[id].tclass];
         tc.completed++;
-        stats_->inc("serving.completed");
-        stats_->recordValue("serving.e2e", now - reqs_[id].arrival);
-        stats_->recordValue("serving.service", now - reqs_[id].claimed);
+        stats_.completed.inc();
+        stats_.e2e.record(now - reqs_[id].arrival);
+        stats_.service.record(now - reqs_[id].claimed);
         if (perTenantStats_)
-            stats_->recordValue(tc.statPrefix + "e2e",
-                                now - reqs_[id].arrival);
+            tenantE2e_[reqs_[id].tclass].record(now - reqs_[id].arrival);
         respawn(reqs_[id].tclass, reqs_[id].client, now);
     }
 
@@ -175,7 +176,7 @@ class Scheduler
     {
         TenantTraffic t;
         uint16_t asid = 0;
-        std::string statPrefix;
+        std::string e2eName; ///< serving.t<asid>.e2e
         uint32_t spawned = 0;
         uint32_t completed = 0;
     };
@@ -251,7 +252,7 @@ class Scheduler
             future_.pop();
             if (cfg_.queueCap && queue_.size() >= cfg_.queueCap) {
                 shed_++;
-                stats_->inc("serving.shed");
+                stats_.shed.inc();
                 respawn(reqs_[id].tclass, reqs_[id].client, now);
             } else {
                 queue_.push_back(id);
@@ -259,13 +260,34 @@ class Scheduler
         }
     }
 
+    /** Handles on the serving.* stats charged per request. */
+    struct Stats
+    {
+        explicit Stats(StatGroup& s)
+            : completed(s, "serving.completed"), shed(s, "serving.shed"),
+              ioDeferrals(s, "serving.io_deferrals"),
+              queueWait(s, "serving.queue_wait"), e2e(s, "serving.e2e"),
+              service(s, "serving.service")
+        {
+        }
+
+        StatGroup::Counter completed;
+        StatGroup::Counter shed;
+        StatGroup::Counter ioDeferrals;
+        StatGroup::Hist queueWait;
+        StatGroup::Hist e2e;
+        StatGroup::Hist service;
+    };
+
     ServingConfig cfg_;
     const ServingWorkload* wl_;
-    StatGroup* stats_;
+    Stats stats_;
     SplitMix64 rng_;
     uint32_t maxInFlight_;
     bool perTenantStats_;
     std::vector<TrafficClass> classes_;
+    /** Each class's e2e histogram, on its e2eName (multi-tenant). */
+    std::vector<StatGroup::Hist> tenantE2e_;
     uint32_t totalRequests_ = 0;
 
     std::vector<Request> reqs_;

@@ -33,20 +33,22 @@ faultStageName(FaultStage s)
 
 namespace {
 
-/** Which layer owns each stage delta (the subsystem rollup key). */
-const char*
-stageSubsystem(FaultStage s)
-{
-    switch (s) {
-      case FaultStage::Lookup: return "core";
-      case FaultStage::Alloc: return "gpufs";
-      case FaultStage::Enqueue:
-      case FaultStage::TransferStart:
-      case FaultStage::TransferEnd: return "hostio";
-      case FaultStage::Fill: return "gpufs";
-    }
-    return "?";
-}
+/** The subsystem rollups, in FaultPath::subsys_ order. */
+constexpr std::array<const char*, 4> kSubsysNames{"core", "gpufs",
+                                                  "hostio", "sim"};
+
+/** Which rollup owns each stage delta, indexed by FaultStage. */
+constexpr std::array<size_t, kFaultStages> kStageSubsys{
+    0, // Lookup: core
+    1, // Alloc: gpufs
+    2, // Enqueue: hostio
+    2, // TransferStart (queue_wait): hostio
+    2, // TransferEnd (transfer): hostio
+    1, // Fill: gpufs
+};
+
+/** The rollup the wakeup remainder lands in. */
+constexpr size_t kSimSubsys = 3;
 
 /**
  * Report chain defect @p what of fault @p fid (dedup key @p key + id):
@@ -66,6 +68,39 @@ reportChain(const char* key, uint64_t fid, const char* what,
 }
 
 } // namespace
+
+const FaultPath::StatNames&
+FaultPath::statNames()
+{
+    static const StatNames names = [] {
+        StatNames n;
+        for (size_t k = 0; k < kFaultKinds; ++k) {
+            const std::string prefix =
+                std::string("faultpath.") +
+                faultKindName(static_cast<FaultKind>(k)) + ".";
+            std::string* row = &n.stage[k * kCols];
+            for (size_t i = 0; i < kFaultStages; ++i)
+                row[i] = prefix + faultStageName(static_cast<FaultStage>(i));
+            row[kWakeupCol] = prefix + "wakeup";
+            row[kTotalCol] = prefix + "total";
+            n.faults[k] = std::string("faultpath.faults.") +
+                          faultKindName(static_cast<FaultKind>(k));
+        }
+        for (size_t i = 0; i < kSubsystems; ++i)
+            n.subsys[i] = std::string("faultpath.subsys.") + kSubsysNames[i];
+        return n;
+    }();
+    return names;
+}
+
+FaultPath::FaultPath(StatGroup& stats, Tracer& tracer)
+    : tracer_(tracer),
+      stage_(stats.handles<StatGroup::Hist>(statNames().stage)),
+      subsys_(stats.handles<StatGroup::Hist>(statNames().subsys)),
+      faults_(stats.handles<StatGroup::Counter>(statNames().faults)),
+      retries_(stats, "faultpath.retries")
+{
+}
 
 uint64_t
 FaultPath::begin(int track, int64_t file, uint64_t page, Cycles t)
@@ -114,7 +149,7 @@ FaultPath::attempt(uint64_t fid)
     if (it == open_.end())
         return;
     it->second.attempts++;
-    stats_.inc("faultpath.retries");
+    retries_.inc();
 }
 
 void
@@ -128,10 +163,10 @@ FaultPath::end(uint64_t fid, FaultKind kind, Cycles t)
     Rec r = it->second;
     open_.erase(it);
 
-    const char* kn = faultKindName(kind);
-    const std::string prefix = std::string("faultpath.") + kn + ".";
-    stats_.inc("faultpath.faults." + std::string(kn));
-    stats_.recordValue(prefix + "total", t - r.t0);
+    const size_t k = static_cast<size_t>(kind);
+    StatGroup::Hist* hist = &stage_[k * kCols];
+    faults_[k].inc();
+    hist[kTotalCol].record(t - r.t0);
     const bool armed = check::SimCheck::armed;
     if (armed && t < r.last)
         reportChain("fpmono:", fid, "closed before its last stamp", "close",
@@ -159,21 +194,22 @@ FaultPath::end(uint64_t fid, FaultKind kind, Cycles t)
         if (armed && delta < 0)
             reportChain("fpchain:", fid, "final stage chain out of order",
                         faultStageName(s), r.at[i], prev_name, prev);
-        stats_.recordValue(prefix + faultStageName(s), delta);
-        stats_.recordValue(
-            std::string("faultpath.subsys.") + stageSubsystem(s), delta);
+        hist[i].record(delta);
+        subsys_[kStageSubsys[i]].record(delta);
         if (traced)
             tracer_.span(r.track, "faultstage",
-                         std::string(kn) + "." + faultStageName(s), prev,
-                         r.at[i], args);
+                         std::string(faultKindName(kind)) + "." +
+                             faultStageName(s),
+                         prev, r.at[i], args);
         prev = r.at[i];
         prev_name = faultStageName(s);
     }
-    stats_.recordValue(prefix + "wakeup", t - prev);
-    stats_.recordValue("faultpath.subsys.sim", t - prev);
+    hist[kWakeupCol].record(t - prev);
+    subsys_[kSimSubsys].record(t - prev);
     if (traced) {
         tracer_.span(r.track, "faultstage",
-                     std::string(kn) + ".wakeup", prev, t, args);
+                     std::string(faultKindName(kind)) + ".wakeup", prev, t,
+                     args);
         // One flow per fault: warp track at aggregation, a hop on the
         // host-IO track when the fault reached DMA, back to the warp
         // track at wakeup — Perfetto draws the arrows across tracks.

@@ -24,11 +24,14 @@
  * per-stage durations always telescope exactly to the end-to-end
  * latency — the stage table sums to the total by construction.
  *
- * The recorder is always on (fixed-cost map ops per fault, no
- * allocation after the map warms up); only the tracer output is
- * gated. Stamping an unknown or zero fault ID is a no-op, so callers
- * outside a recorded fault (unit tests poking the page cache
- * directly) need no guards.
+ * The recorder is always on; only the tracer output is gated. Per
+ * fault it costs one hash-map node (allocated at begin(), freed at
+ * end()) and one lookup per stamp; every counter and histogram it
+ * charges goes through a StatGroup handle built in the constructor
+ * over a process-wide name table, so an untraced end() or attempt()
+ * builds no string and walks no stats map. Stamping an unknown or
+ * zero fault ID is a no-op, so callers outside a recorded fault (unit
+ * tests poking the page cache directly) need no guards.
  */
 
 #ifndef AP_SIM_FAULTPATH_HH
@@ -53,6 +56,9 @@ enum class FaultKind {
     SpecFill, ///< the speculative fill itself (no waiting warp)
     Error,    ///< resolved to an I/O error
 };
+
+/** Number of FaultKind values. */
+inline constexpr size_t kFaultKinds = 5;
 
 /** Printable name of @p k ("major", "minor", ...). */
 const char* faultKindName(FaultKind k);
@@ -92,10 +98,7 @@ class FaultPath
 {
   public:
     /** Record into @p stats; emit spans into @p tracer when enabled. */
-    FaultPath(StatGroup& stats, Tracer& tracer)
-        : stats_(stats), tracer_(tracer)
-    {
-    }
+    FaultPath(StatGroup& stats, Tracer& tracer);
 
     /**
      * Open a fault record and return its ID (never 0).
@@ -153,10 +156,34 @@ class FaultPath
         std::array<bool, kFaultStages> has{};
     };
 
-    StatGroup& stats_;
+    /** Histogram columns per kind: one per stage, then wakeup, total. */
+    static constexpr size_t kWakeupCol = kFaultStages;
+    static constexpr size_t kTotalCol = kFaultStages + 1;
+    static constexpr size_t kCols = kFaultStages + 2;
+    /** Subsystem rollups: core, gpufs, hostio, sim. */
+    static constexpr size_t kSubsystems = 4;
+
+    /** Every stat name the recorder charges, in handle-table order. */
+    struct StatNames
+    {
+        std::array<std::string, kFaultKinds * kCols> stage;
+        std::array<std::string, kSubsystems> subsys;
+        std::array<std::string, kFaultKinds> faults;
+    };
+
+    /** The names, built once per process: the handles point into them. */
+    static const StatNames& statNames();
+
     Tracer& tracer_;
     uint64_t next_ = 1;
     std::unordered_map<uint64_t, Rec> open_;
+    /** faultpath.<kind>.<column>, indexed kind * kCols + column. */
+    std::array<StatGroup::Hist, kFaultKinds * kCols> stage_;
+    /** faultpath.subsys.<subsystem>. */
+    std::array<StatGroup::Hist, kSubsystems> subsys_;
+    /** faultpath.faults.<kind>. */
+    std::array<StatGroup::Counter, kFaultKinds> faults_;
+    StatGroup::Counter retries_; ///< faultpath.retries
 };
 
 } // namespace ap::sim

@@ -12,6 +12,9 @@
  * open-to-retire lifetime histogram, sums the hits of retired records,
  * keeps the live count, and throttles the owner's trace samples.
  * Host bookkeeping only: it costs no simulated cycles or device bytes.
+ * The ledger is bound to its StatGroup at construction and charges
+ * through handles on names it builds once, so open() and retire()
+ * build no string.
  */
 
 #ifndef AP_SIM_LIFETIME_LEDGER_HH
@@ -20,7 +23,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sim/trace.hh"
@@ -44,33 +46,37 @@ class LifetimeLedger
     };
 
     /**
+     * @param st       the group every charge lands in
      * @param prefix   stat prefix of the owner ("tlb", "pagecache")
      * @param reasons  printable reason names, indexed by Reason
-     * @param opens    counter bumped by every open
-     * @param lifetime histogram of open-to-retire cycles
+     * @param opens    counter bumped by every open (a literal)
+     * @param lifetime histogram of open-to-retire cycles (a literal)
      * @param slots    number of slots
      */
-    LifetimeLedger(const std::string& prefix,
+    LifetimeLedger(StatGroup& st, const std::string& prefix,
                    const std::array<const char*, N>& reasons,
-                   std::string opens, std::string lifetime, size_t slots)
-        : opensName(std::move(opens)), lifetimeName(std::move(lifetime)),
-          recs(slots)
+                   const char* opens, const char* lifetime, size_t slots)
+        : evictNames(names(prefix + ".evict.", reasons)),
+          doaNames(names(prefix + ".doa.", reasons)),
+          evict(st.handles<StatGroup::Counter>(evictNames)),
+          doa(st.handles<StatGroup::Counter>(doaNames)),
+          opens_(st, opens), lifetime_(st, lifetime), recs(slots)
     {
-        for (size_t i = 0; i < N; ++i) {
-            evictNames[i] = prefix + ".evict." + reasons[i];
-            doaNames[i] = prefix + ".doa." + reasons[i];
-        }
     }
+
+    // The handles point into this ledger's own name strings.
+    LifetimeLedger(const LifetimeLedger&) = delete;
+    LifetimeLedger& operator=(const LifetimeLedger&) = delete;
 
     /** Open a fresh lifetime on @p slot at @p now. */
     void
-    open(StatGroup& st, size_t slot, Cycles now)
+    open(size_t slot, Cycles now)
     {
         Record& r = recs[slot];
         if (!r.live)
             ++live_;
         r = Record{now, now, 0, true};
-        st.inc(opensName);
+        opens_.inc();
     }
 
     /**
@@ -95,17 +101,17 @@ class LifetimeLedger
      * @return the record as it was at retirement
      */
     Record
-    retire(StatGroup& st, size_t slot, Reason reason, Cycles now)
+    retire(size_t slot, Reason reason, Cycles now)
     {
         Record& r = recs[slot];
         const Record rec = r;
         if (!rec.live)
             return rec;
         const size_t i = static_cast<size_t>(reason);
-        st.inc(evictNames[i]);
+        evict[i].inc();
         if (rec.hits == 0)
-            st.inc(doaNames[i]);
-        st.recordValue(lifetimeName, now - rec.openCycle);
+            doa[i].inc();
+        lifetime_.record(now - rec.openCycle);
         retiredHits_ += rec.hits;
         r.live = false;
         --live_;
@@ -135,10 +141,22 @@ class LifetimeLedger
     uint64_t retiredHits() const { return retiredHits_; }
 
   private:
-    std::array<std::string, N> evictNames;
-    std::array<std::string, N> doaNames;
-    std::string opensName;
-    std::string lifetimeName;
+    /** @p head followed by each reason name. */
+    static std::array<std::string, N>
+    names(const std::string& head, const std::array<const char*, N>& reasons)
+    {
+        std::array<std::string, N> out;
+        for (size_t i = 0; i < N; ++i)
+            out[i] = head + reasons[i];
+        return out;
+    }
+
+    std::array<std::string, N> evictNames; ///< <prefix>.evict.<reason>
+    std::array<std::string, N> doaNames;   ///< <prefix>.doa.<reason>
+    std::array<StatGroup::Counter, N> evict;
+    std::array<StatGroup::Counter, N> doa;
+    StatGroup::Counter opens_;
+    StatGroup::Hist lifetime_;
     std::vector<Record> recs;
     size_t live_ = 0;
     uint64_t retiredHits_ = 0;

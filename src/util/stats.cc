@@ -1,5 +1,8 @@
 #include "util/stats.hh"
 
+#include <limits>
+#include <type_traits>
+
 #include "util/json.hh"
 
 namespace ap {
@@ -27,12 +30,25 @@ summarize(const Histogram& h)
 
 } // namespace
 
+template <typename T>
 void
-StatGroup::Counter::resolve()
+StatGroup::Handle<T>::resolve()
 {
-    slot_ = &group_->counters[name_];
+    if constexpr (std::is_same_v<T, uint64_t>)
+        slot_ = &group_->counters[name_];
+    else if constexpr (std::is_same_v<T, Histogram>)
+        slot_ = &group_->histograms[name_];
+    else
+        slot_ = &group_->scalars
+                     .try_emplace(name_,
+                                  -std::numeric_limits<double>::infinity())
+                     .first->second;
     epoch_ = group_->epoch_;
 }
+
+template class StatGroup::Handle<uint64_t>;
+template class StatGroup::Handle<Histogram>;
+template class StatGroup::Handle<double>;
 
 void
 StatGroup::dump(std::ostream& os) const

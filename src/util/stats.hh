@@ -8,10 +8,12 @@
 #ifndef AP_UTIL_STATS_HH
 #define AP_UTIL_STATS_HH
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <ostream>
 #include <string>
+#include <utility>
 
 #include "util/histogram.hh"
 
@@ -21,48 +23,112 @@ namespace ap {
  * A flat collection of named statistics. Counters are monotonically
  * increasing event counts; scalars are arbitrary values (e.g. peaks);
  * histograms are log2 latency distributions (see Histogram).
+ *
+ * Charges by name (inc, setMax, recordValue) build a key and walk a
+ * map on every call; they serve tests, once-per-launch sites, error
+ * and teardown paths, and names composed at run time (the registry's
+ * per-tenant stats). Every charge made per instruction,
+ * fault, page move, host-IO request or served request goes through a
+ * handle (Counter, Hist, Peak) held by the component that charges it.
+ * All three are one mechanism: the handle resolves its slot on its
+ * first charge, and again after reset(), so a stat still appears in
+ * dump() and dumpJson() exactly when it is first charged, by name or
+ * by handle.
  */
 class StatGroup
 {
   public:
     /**
-     * A handle on one counter for hot call sites. inc(name) builds a
-     * key and walks the map on every charge; a handle does that once,
-     * on its first charge, and then adds to the slot directly. So the
-     * counter still appears in dump()/dumpJson() exactly when it was
-     * first charged. reset() frees the slots; the handle notices the
-     * group's new epoch and resolves again.
+     * The handle mechanism behind Counter, Hist and Peak: a slot of
+     * type @p T in the group's map for that type, found or created by
+     * name on the first charge and again after reset() frees it (the
+     * handle notices the group's new epoch). Trivially destructible.
      */
-    class Counter
+    template <typename T>
+    class Handle
     {
       public:
-        /** @p name must outlive the handle (a string literal). */
-        Counter(StatGroup& group, const char* name)
+        /**
+         * @p name must outlive the handle: a string literal, a
+         * process-wide name table, or a string its owner keeps beside
+         * the handle. Lookup is by content, never by address.
+         */
+        Handle(StatGroup& group, const char* name)
             : group_(&group), name_(name)
         {
         }
 
-        /** Add @p delta, exactly as group.inc(name, delta) would. */
-        void
-        inc(uint64_t delta = 1)
+      protected:
+        /** The slot this charge lands in. */
+        T&
+        slot()
         {
             if (epoch_ != group_->epoch_) [[unlikely]]
                 resolve();
-            *slot_ += delta;
+            return *slot_;
         }
 
       private:
-        /** Find or create the slot (out of line: inc() stays small). */
-        void resolve();
+        /** Find or create the slot (out of line and cold: it runs once
+         * per handle per epoch, so charges stay small). */
+        [[gnu::cold]] void resolve();
 
         StatGroup* group_;
         const char* name_;
-        uint64_t* slot_ = nullptr;
+        T* slot_ = nullptr;
         uint64_t epoch_ = 0; ///< group epochs start at 1
     };
 
+    /** A counter handle: inc() as group.inc(name, delta) would. */
+    class Counter : public Handle<uint64_t>
+    {
+      public:
+        using Handle::Handle;
+
+        void inc(uint64_t delta = 1) { slot() += delta; }
+    };
+
+    /** A histogram handle: record() as group.recordValue(name, v). */
+    class Hist : public Handle<Histogram>
+    {
+      public:
+        using Handle::Handle;
+
+        void record(double value) { slot().record(value); }
+    };
+
+    /** A high-water scalar handle: setMax() as group.setMax(name, v). */
+    class Peak : public Handle<double>
+    {
+      public:
+        using Handle::Handle;
+
+        void
+        setMax(double value)
+        {
+            // A slot this charge creates starts at -inf, so it takes
+            // @p value, as setMax by name creates it at @p value.
+            double& s = slot();
+            if (s < value)
+                s = value;
+        }
+    };
+
+    /**
+     * One @p H handle per name in @p names, in order; the names must
+     * outlive the handles.
+     */
+    template <typename H, size_t N>
+    std::array<H, N>
+    handles(const std::array<std::string, N>& names)
+    {
+        return [&]<size_t... I>(std::index_sequence<I...>) {
+            return std::array<H, N>{H(*this, names[I].c_str())...};
+        }(std::make_index_sequence<N>{});
+    }
+
     StatGroup() = default;
-    // Counter handles point into the group.
+    // Handles point into the group.
     StatGroup(const StatGroup&) = delete;
     StatGroup& operator=(const StatGroup&) = delete;
 
@@ -159,7 +225,7 @@ class StatGroup
     std::map<std::string, uint64_t> counters;
     std::map<std::string, double> scalars;
     std::map<std::string, Histogram> histograms;
-    /** Bumped by reset(), which frees every Counter's slot. */
+    /** Bumped by reset(), which frees every handle's slot. */
     uint64_t epoch_ = 1;
 };
 

@@ -15,18 +15,18 @@ namespace {
 
 TEST(ContigProfiler, GrowsRunsAndCountsBridgingMerges)
 {
-    ContigProfiler cp;
     StatGroup st;
+    ContigProfiler cp(st);
     hostio::FileId f = 1;
-    cp.noteResidentPage(st, makePageKey(f, 0));
-    cp.noteResidentPage(st, makePageKey(f, 2));
+    cp.noteResidentPage(makePageKey(f, 0));
+    cp.noteResidentPage(makePageKey(f, 2));
     EXPECT_EQ(cp.residentPages(), 2u);
     EXPECT_EQ(cp.runCount(), 2u);
     EXPECT_EQ(cp.maxRunNow(), 1u);
     EXPECT_EQ(st.counter("contig.merges"), 0u);
 
     // Page 1 bridges the two runs into one: exactly one merge.
-    cp.noteResidentPage(st, makePageKey(f, 1));
+    cp.noteResidentPage(makePageKey(f, 1));
     EXPECT_EQ(cp.residentPages(), 3u);
     EXPECT_EQ(cp.runCount(), 1u);
     EXPECT_EQ(cp.maxRunNow(), 3u);
@@ -34,7 +34,7 @@ TEST(ContigProfiler, GrowsRunsAndCountsBridgingMerges)
     EXPECT_EQ(st.scalar("contig.max_run"), 3.0);
 
     // Extending an existing run is not a merge.
-    cp.noteResidentPage(st, makePageKey(f, 3));
+    cp.noteResidentPage(makePageKey(f, 3));
     EXPECT_EQ(cp.runCount(), 1u);
     EXPECT_EQ(cp.maxRunNow(), 4u);
     EXPECT_EQ(st.counter("contig.merges"), 1u);
@@ -42,29 +42,29 @@ TEST(ContigProfiler, GrowsRunsAndCountsBridgingMerges)
 
 TEST(ContigProfiler, InteriorEvictionSplitsRun)
 {
-    ContigProfiler cp;
     StatGroup st;
+    ContigProfiler cp(st);
     hostio::FileId f = 1;
     for (uint64_t pg = 0; pg < 5; ++pg)
-        cp.noteResidentPage(st, makePageKey(f, pg));
+        cp.noteResidentPage(makePageKey(f, pg));
     ASSERT_EQ(cp.runCount(), 1u);
     ASSERT_EQ(cp.maxRunNow(), 5u);
 
     // Evicting an interior page splits one run into two.
-    cp.noteEvictedPage(st, makePageKey(f, 2));
+    cp.noteEvictedPage(makePageKey(f, 2));
     EXPECT_EQ(cp.residentPages(), 4u);
     EXPECT_EQ(cp.runCount(), 2u);
     EXPECT_EQ(cp.maxRunNow(), 2u);
     EXPECT_EQ(st.counter("contig.splits"), 1u);
 
     // Trimming a run's edge is not a split.
-    cp.noteEvictedPage(st, makePageKey(f, 0));
+    cp.noteEvictedPage(makePageKey(f, 0));
     EXPECT_EQ(cp.runCount(), 2u);
     EXPECT_EQ(st.counter("contig.splits"), 1u);
 
-    cp.noteEvictedPage(st, makePageKey(f, 1));
-    cp.noteEvictedPage(st, makePageKey(f, 3));
-    cp.noteEvictedPage(st, makePageKey(f, 4));
+    cp.noteEvictedPage(makePageKey(f, 1));
+    cp.noteEvictedPage(makePageKey(f, 3));
+    cp.noteEvictedPage(makePageKey(f, 4));
     EXPECT_EQ(cp.residentPages(), 0u);
     EXPECT_EQ(cp.runCount(), 0u);
     EXPECT_EQ(cp.maxRunNow(), 0u);
@@ -74,13 +74,13 @@ TEST(ContigProfiler, InteriorEvictionSplitsRun)
 
 TEST(ContigProfiler, GroupsByTenantAndFile)
 {
-    ContigProfiler cp;
     StatGroup st;
+    ContigProfiler cp(st);
     // Same page numbers in different (tenant, file) groups never
     // coalesce with each other.
-    cp.noteResidentPage(st, makePageKey(1, 0));
-    cp.noteResidentPage(st, makePageKey(2, 1));
-    cp.noteResidentPage(st, makePageKey(tenant::TenantId(3), 1, 1));
+    cp.noteResidentPage(makePageKey(1, 0));
+    cp.noteResidentPage(makePageKey(2, 1));
+    cp.noteResidentPage(makePageKey(tenant::TenantId(3), 1, 1));
     EXPECT_EQ(cp.residentPages(), 3u);
     EXPECT_EQ(cp.runCount(), 3u);
     EXPECT_EQ(cp.maxRunNow(), 1u);
@@ -89,17 +89,17 @@ TEST(ContigProfiler, GroupsByTenantAndFile)
 
 TEST(ContigProfiler, SnapshotBuildsPerGroupHistograms)
 {
-    ContigProfiler cp;
     StatGroup st;
+    ContigProfiler cp(st);
     // Group (default tenant, file 1): pages 0..3, one run of four.
     for (uint64_t pg = 0; pg < 4; ++pg)
-        cp.noteResidentPage(st, makePageKey(1, pg));
+        cp.noteResidentPage(makePageKey(1, pg));
     // Group (default tenant, file 2): a single page.
-    cp.noteResidentPage(st, makePageKey(2, 7));
+    cp.noteResidentPage(makePageKey(2, 7));
     // Group (tenant 3, file 1): a single page.
-    cp.noteResidentPage(st, makePageKey(tenant::TenantId(3), 1, 9));
+    cp.noteResidentPage(makePageKey(tenant::TenantId(3), 1, 9));
 
-    cp.exportSnapshot(st);
+    cp.exportSnapshot();
     const Histogram* all = st.findHistogram("contig.runs");
     ASSERT_NE(all, nullptr);
     EXPECT_EQ(all->count(), 3u);
@@ -122,8 +122,8 @@ TEST(ContigProfiler, SnapshotBuildsPerGroupHistograms)
 
     // A group that goes fully non-resident is reset by the next
     // snapshot, never left stale.
-    cp.noteEvictedPage(st, makePageKey(2, 7));
-    cp.exportSnapshot(st);
+    cp.noteEvictedPage(makePageKey(2, 7));
+    cp.exportSnapshot();
     f2 = st.findHistogram("contig.f2.runs");
     ASSERT_NE(f2, nullptr);
     EXPECT_EQ(f2->count(), 0u);

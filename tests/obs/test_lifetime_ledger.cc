@@ -22,17 +22,17 @@ enum class Why : uint8_t
 using Ledger = LifetimeLedger<Why, 2>;
 
 Ledger
-makeLedger(size_t slots = 4)
+makeLedger(StatGroup& st, size_t slots = 4)
 {
-    return Ledger("t", {"evicted", "dropped"}, "t.opens", "t.lifetime",
+    return Ledger(st, "t", {"evicted", "dropped"}, "t.opens", "t.lifetime",
                   slots);
 }
 
 TEST(LifetimeLedger, RetiringASlotThatIsNotLiveCountsNothing)
 {
     StatGroup st;
-    Ledger l = makeLedger();
-    auto rec = l.retire(st, 1, Why::Evicted, 50);
+    Ledger l = makeLedger(st);
+    auto rec = l.retire(1, Why::Evicted, 50);
     EXPECT_FALSE(rec.live);
     EXPECT_EQ(st.counter("t.evict.evicted"), 0u);
     EXPECT_EQ(st.counter("t.doa.evicted"), 0u);
@@ -40,9 +40,9 @@ TEST(LifetimeLedger, RetiringASlotThatIsNotLiveCountsNothing)
     EXPECT_EQ(l.live(), 0u);
 
     // A second retirement of an already-retired slot is a no-op too.
-    l.open(st, 1, 10);
-    l.retire(st, 1, Why::Evicted, 20);
-    l.retire(st, 1, Why::Dropped, 30);
+    l.open(1, 10);
+    l.retire(1, Why::Evicted, 20);
+    l.retire(1, Why::Dropped, 30);
     EXPECT_EQ(st.counter("t.evict.evicted"), 1u);
     EXPECT_EQ(st.counter("t.evict.dropped"), 0u);
     EXPECT_EQ(st.findHistogram("t.lifetime")->count(), 1u);
@@ -52,18 +52,18 @@ TEST(LifetimeLedger, RetiringASlotThatIsNotLiveCountsNothing)
 TEST(LifetimeLedger, DeadOnArrivalOnlyForZeroHitRetirements)
 {
     StatGroup st;
-    Ledger l = makeLedger();
-    l.open(st, 0, 100);
-    l.open(st, 2, 100);
+    Ledger l = makeLedger(st);
+    l.open(0, 100);
+    l.open(2, 100);
     EXPECT_EQ(st.counter("t.opens"), 2u);
     EXPECT_EQ(l.live(), 2u);
     l.hit(2, 130);
     l.hit(2, 170);
 
-    auto dead = l.retire(st, 0, Why::Dropped, 400);
+    auto dead = l.retire(0, Why::Dropped, 400);
     EXPECT_TRUE(dead.live);
     EXPECT_EQ(dead.hits, 0u);
-    auto used = l.retire(st, 2, Why::Dropped, 500);
+    auto used = l.retire(2, Why::Dropped, 500);
     EXPECT_EQ(used.hits, 2u);
     EXPECT_EQ(used.openCycle, 100.0);
 
@@ -81,8 +81,8 @@ TEST(LifetimeLedger, DeadOnArrivalOnlyForZeroHitRetirements)
 TEST(LifetimeLedger, HitReturnsTheRecordBeforeTheHit)
 {
     StatGroup st;
-    Ledger l = makeLedger();
-    l.open(st, 3, 40);
+    Ledger l = makeLedger(st);
+    l.open(3, 40);
     auto first = l.hit(3, 65);
     EXPECT_TRUE(first.live);
     EXPECT_EQ(first.hits, 0u);
@@ -98,10 +98,42 @@ TEST(LifetimeLedger, HitReturnsTheRecordBeforeTheHit)
     EXPECT_EQ(l.hit(1, 99).hits, 0u);
 }
 
+TEST(LifetimeLedger, BoundLedgerCountsAfterReset)
+{
+    // A ledger is bound to its group at construction and outlives
+    // StatGroup::reset() (apbench translate resets after its warm-up
+    // launch): charges after the reset land in fresh entries, and
+    // nothing charged before it comes back.
+    StatGroup st;
+    Ledger l = makeLedger(st);
+    l.open(0, 10);
+    l.open(1, 10);
+    l.retire(0, Why::Evicted, 30);
+    st.reset();
+    EXPECT_EQ(st.counter("t.opens"), 0u);
+    EXPECT_EQ(st.findHistogram("t.lifetime"), nullptr);
+
+    l.hit(1, 40);
+    l.retire(1, Why::Dropped, 50);
+    l.open(2, 60);
+    l.retire(2, Why::Dropped, 100);
+    EXPECT_EQ(st.counter("t.opens"), 1u);
+    EXPECT_EQ(st.counter("t.evict.dropped"), 2u);
+    EXPECT_EQ(st.counter("t.doa.dropped"), 1u);
+    EXPECT_EQ(st.counter("t.evict.evicted"), 0u);
+    EXPECT_EQ(st.counter("t.doa.evicted"), 0u);
+    const Histogram* life = st.findHistogram("t.lifetime");
+    ASSERT_NE(life, nullptr);
+    EXPECT_EQ(life->count(), 2u);
+    EXPECT_EQ(life->sum(), 40.0 + 40.0);
+    EXPECT_EQ(l.live(), 0u);
+}
+
 TEST(LifetimeLedger, SampleThrottle)
 {
     Tracer tr;
-    Ledger l = makeLedger();
+    StatGroup st;
+    Ledger l = makeLedger(st);
     EXPECT_FALSE(l.sampleDue(tr, 1000)); // tracing off
     tr.enable();
     EXPECT_TRUE(l.sampleDue(tr, 1000)); // first sample
