@@ -60,10 +60,10 @@ CpuCentricVm::serviceFault(PageKey key)
 
     auto wit = inFlight.find(key);
     AP_ASSERT(wit != inFlight.end(), "fault with no waiters");
-    std::vector<sim::Fiber*> waiters = std::move(wit->second);
+    sim::FiberQueue& waiters = wit->second;
+    while (!waiters.empty())
+        dev->engine().scheduleFiber(dev->engine().now(), waiters.pop());
     inFlight.erase(wit);
-    for (sim::Fiber* fb : waiters)
-        dev->engine().scheduleFiber(dev->engine().now(), fb);
 }
 
 sim::Addr
@@ -83,7 +83,7 @@ CpuCentricVm::translate(sim::Warp& w, hostio::FileId f, uint64_t page_no)
 
     auto& waiters = inFlight[key];
     bool first = waiters.empty();
-    waiters.push_back(sim::Fiber::current());
+    waiters.push(sim::Fiber::current());
     if (first) {
         // Fault delivery to the CPU, serialized handler + CPU-driven
         // DMA, then the mapping-update doorbell back to the GPU.

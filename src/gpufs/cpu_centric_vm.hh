@@ -73,7 +73,7 @@ class CpuCentricVm
     std::unordered_map<PageKey, uint32_t> table;
 
     /** Faults in flight: waiters per page. */
-    std::unordered_map<PageKey, std::vector<sim::Fiber*>> inFlight;
+    std::unordered_map<PageKey, sim::FiberQueue> inFlight;
 
     /** FIFO of mapped pages for eviction (the CPU revokes at will). */
     std::deque<PageKey> fifo;

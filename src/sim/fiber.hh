@@ -22,7 +22,11 @@
 #include <functional>
 #include <memory>
 
+#include "util/logging.hh"
+
 namespace ap::sim {
+
+class FiberQueue;
 
 /**
  * A run-to-yield coroutine with its own stack. Not thread-safe: the
@@ -75,6 +79,8 @@ class Fiber
     }
 
   private:
+    friend class FiberQueue;
+
     static void trampoline(Fiber* f);
 
     void* selfSp = nullptr; ///< stack pointer of the suspended fiber
@@ -82,11 +88,70 @@ class Fiber
     std::unique_ptr<uint8_t[]> stack;
     size_t stackBytes;
     Fn fn;
+    Fiber* waitNext = nullptr; ///< next fiber in its FiberQueue
     bool done = false;
+    bool queued = false; ///< waiting in some FiberQueue
 
     // constinit: includers read the thread-local directly, with no TLS
     // wrapper call and no dynamic-initialization check per access.
     static constinit thread_local Fiber* current_;
+};
+
+/**
+ * The wait queue of a blocking primitive: a FIFO of suspended fibers,
+ * linked through the fibers themselves. A fiber waits on at most one
+ * queue at a time, so a queue is two pointers and never allocates,
+ * however many fibers it holds. Locks, the page cache's staging slots,
+ * threadblock barriers and the CPU-centric VM's fault waits all queue
+ * their blocked fibers here; the waker pops them in arrival order.
+ */
+class FiberQueue
+{
+  public:
+    FiberQueue() = default;
+    FiberQueue(const FiberQueue&) = delete;
+    FiberQueue& operator=(const FiberQueue&) = delete;
+
+    /** Take over @p o's fibers, leaving @p o empty (vectors of locks
+     * need it to grow). */
+    FiberQueue(FiberQueue&& o) noexcept : head(o.head), tail(o.tail)
+    {
+        o.head = o.tail = nullptr;
+    }
+
+    /** True if no fiber waits here. */
+    bool empty() const { return head == nullptr; }
+
+    /** Append @p f; it must not be waiting on any queue. */
+    void
+    push(Fiber* f)
+    {
+        AP_ASSERT(!f->queued, "fiber is already waiting on a queue");
+        f->queued = true;
+        if (tail)
+            tail->waitNext = f;
+        else
+            head = f;
+        tail = f;
+    }
+
+    /** Remove and return the oldest fiber; the queue must be nonempty. */
+    Fiber*
+    pop()
+    {
+        AP_ASSERT(head != nullptr, "pop of an empty fiber queue");
+        Fiber* f = head;
+        head = f->waitNext;
+        if (!head)
+            tail = nullptr;
+        f->waitNext = nullptr;
+        f->queued = false;
+        return f;
+    }
+
+  private:
+    Fiber* head = nullptr;
+    Fiber* tail = nullptr;
 };
 
 } // namespace ap::sim

@@ -50,6 +50,8 @@ class GlobalMemory
         AP_ASSERT(isPowerOf2(segmentBytes),
                   "coalescing segment must be a power of two, not ",
                   segmentBytes);
+        AP_ASSERT(bytes >= kReservedBytes, "device memory of ", bytes,
+                  " bytes cannot hold its reserved null region");
         if (!store_)
             fatal("cannot allocate ", bytes, " bytes of device memory");
     }
@@ -76,7 +78,7 @@ class GlobalMemory
     {
         AP_ASSERT(isPowerOf2(align), "alignment must be a power of two");
         Addr base = roundUp(brk, align);
-        if (base + bytes > capacity)
+        if (!fits(base, bytes))
             fatal("device memory exhausted: need ", bytes, " bytes at ",
                   base, ", capacity ", capacity);
         brk = base + bytes;
@@ -89,8 +91,9 @@ class GlobalMemory
     load(Addr a) const
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        AP_ASSERT(a + sizeof(T) <= capacity,
-                  "device load out of bounds at ", a);
+        static_assert(sizeof(T) <= kReservedBytes);
+        AP_ASSERT(a <= capacity - sizeof(T), "device load out of bounds at ",
+                  a);
         if (check::SimCheck::armed)
             check::SimCheck::get().onRead(checkMemId, a, sizeof(T));
         T v;
@@ -104,8 +107,9 @@ class GlobalMemory
     store(Addr a, const T& v)
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        AP_ASSERT(a + sizeof(T) <= capacity,
-                  "device store out of bounds at ", a);
+        static_assert(sizeof(T) <= kReservedBytes);
+        AP_ASSERT(a <= capacity - sizeof(T), "device store out of bounds at ",
+                  a);
         if (check::SimCheck::armed)
             check::SimCheck::get().onWrite(checkMemId, a, sizeof(T));
         std::memcpy(store_.get() + a, &v, sizeof(T));
@@ -115,14 +119,14 @@ class GlobalMemory
     uint8_t*
     raw(Addr a, size_t len)
     {
-        AP_ASSERT(a + len <= capacity, "raw range out of bounds");
+        AP_ASSERT(fits(a, len), "raw range out of bounds");
         return store_.get() + a;
     }
 
     const uint8_t*
     raw(Addr a, size_t len) const
     {
-        AP_ASSERT(a + len <= capacity, "raw range out of bounds");
+        AP_ASSERT(fits(a, len), "raw range out of bounds");
         return store_.get() + a;
     }
 
@@ -195,6 +199,25 @@ class GlobalMemory
     }
 
   private:
+    /**
+     * Bytes below the first allocation: address 0 must stay the null
+     * aphysical address. The capacity is at least this and a typed
+     * access at most this, so the hot load() and store() bound check
+     * `a <= capacity - sizeof(T)` cannot wrap and is one compare.
+     */
+    static constexpr size_t kReservedBytes = 64;
+
+    /**
+     * True if [@p a, @p a + @p len) lies inside the array. Subtracts
+     * first, so an address or length near 2^64 cannot wrap past the
+     * check.
+     */
+    bool
+    fits(Addr a, size_t len) const
+    {
+        return a <= capacity && len <= capacity - a;
+    }
+
     struct Free
     {
         void operator()(uint8_t* p) const { std::free(p); }
@@ -202,7 +225,7 @@ class GlobalMemory
 
     std::unique_ptr<uint8_t[], Free> store_;
     size_t capacity;
-    Addr brk = 64;
+    Addr brk = kReservedBytes;
     BwServer bw;
     Cycles latency;
     unsigned segmentBytes;

@@ -9,8 +9,6 @@
 #ifndef AP_SIM_SYNC_HH
 #define AP_SIM_SYNC_HH
 
-#include <deque>
-
 #include "sim/check/simcheck.hh"
 #include "sim/warp.hh"
 #include "util/annotations.hh"
@@ -59,7 +57,7 @@ class DeviceLock
             return;
         }
         w.counters().lockContended.inc();
-        waiters.push_back(Fiber::current());
+        waiters.push(Fiber::current());
         w.engine().block();
         // Ownership was handed to us by release().
         noteAcquired(w);
@@ -96,8 +94,7 @@ class DeviceLock
             held = false;
             return;
         }
-        Fiber* next = waiters.front();
-        waiters.pop_front();
+        Fiber* next = waiters.pop();
         // Handoff: lock stays held; the waiter resumes as owner after
         // the release propagates.
         w.engine().scheduleFiber(w.now() + atomicCost(w), next);
@@ -130,7 +127,7 @@ class DeviceLock
 
     bool held = false;
     Cycles latencyOverride = -1;
-    std::deque<Fiber*> waiters;
+    FiberQueue waiters;
 };
 
 } // namespace ap::sim

@@ -8,7 +8,6 @@
 #define AP_SIM_THREADBLOCK_HH
 
 #include <memory>
-#include <vector>
 
 #include "sim/check/simcheck.hh"
 #include "sim/engine.hh"
@@ -83,7 +82,7 @@ class ThreadBlock
         if (check::SimCheck::armed)
             check::SimCheck::get().syncRelease(chan);
         if (++arrived < numWarps) {
-            waiters.push_back(f);
+            waiters.push(f);
             eng->block();
             if (check::SimCheck::armed)
                 check::SimCheck::get().syncAcquire(chan);
@@ -92,10 +91,8 @@ class ThreadBlock
         arrived = 0;
         if (check::SimCheck::armed)
             check::SimCheck::get().syncAcquire(chan);
-        auto ws = std::move(waiters);
-        waiters.clear();
-        for (Fiber* w : ws)
-            eng->scheduleFiber(eng->now(), w);
+        while (!waiters.empty())
+            eng->scheduleFiber(eng->now(), waiters.pop());
     }
 
     /**
@@ -123,7 +120,7 @@ class ThreadBlock
     size_t scratchCapacity;
     size_t scratchUsed = 0;
     int arrived = 0;
-    std::vector<Fiber*> waiters;
+    FiberQueue waiters;
 };
 
 } // namespace ap::sim

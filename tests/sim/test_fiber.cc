@@ -193,5 +193,54 @@ TEST(Fiber, DestroyedWhileSuspendedRunsNoMoreOfItsBody)
     EXPECT_EQ(steps, 10);
 }
 
+/** @p n fibers with small stacks that are never run. */
+std::vector<std::unique_ptr<Fiber>>
+idleFibers(int n)
+{
+    std::vector<std::unique_ptr<Fiber>> fs;
+    for (int i = 0; i < n; ++i)
+        fs.push_back(std::make_unique<Fiber>([] {}, 16 * 1024));
+    return fs;
+}
+
+TEST(FiberQueue, PopsInPushOrderAcrossManyWaiters)
+{
+    // More waiters than one 512-byte deque node holds (64 pointers).
+    auto fs = idleFibers(100);
+    FiberQueue q;
+    EXPECT_TRUE(q.empty());
+    for (auto& f : fs)
+        q.push(f.get());
+    for (auto& f : fs) {
+        ASSERT_FALSE(q.empty());
+        EXPECT_EQ(q.pop(), f.get());
+    }
+    EXPECT_TRUE(q.empty());
+
+    // A popped fiber may wait again, on this queue or another, and
+    // interleaved pushes and pops stay in order.
+    FiberQueue other;
+    other.push(fs[3].get());
+    q.push(fs[7].get());
+    q.push(fs[5].get());
+    EXPECT_EQ(q.pop(), fs[7].get());
+    q.push(fs[9].get());
+    EXPECT_EQ(q.pop(), fs[5].get());
+    EXPECT_EQ(q.pop(), fs[9].get());
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(other.pop(), fs[3].get());
+}
+
+TEST(FiberQueueDeath, PushingAQueuedFiberPanics)
+{
+    auto fs = idleFibers(2);
+    FiberQueue a, b;
+    a.push(fs[0].get());
+    a.push(fs[1].get());
+    EXPECT_DEATH(a.push(fs[0].get()), "already waiting on a queue");
+    EXPECT_DEATH(b.push(fs[1].get()), "already waiting on a queue");
+    EXPECT_DEATH(b.pop(), "pop of an empty fiber queue");
+}
+
 } // namespace
 } // namespace ap::sim

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 
 #include <gtest/gtest.h>
@@ -138,6 +139,26 @@ TEST(MemoryDeath, OutOfBoundsLoadPanics)
 {
     GlobalMemory m(1024, cm());
     EXPECT_DEATH(m.load<uint64_t>(1020), "out of bounds");
+}
+
+// An address or length near 2^64 must not wrap past the bounds checks.
+TEST(MemoryDeath, LoadNearTheTopOfTheAddressSpacePanics)
+{
+    GlobalMemory m(1024, cm());
+    EXPECT_DEATH(m.load<uint64_t>(~Addr{0} - 1), "out of bounds");
+}
+
+TEST(MemoryDeath, RawSpanThatWrapsPanics)
+{
+    GlobalMemory m(1024, cm());
+    // 512 + len wraps to 256, inside the array.
+    EXPECT_DEATH(m.raw(512, ~size_t{0} - 255), "out of bounds");
+}
+
+TEST(MemoryDeath, AllocOfSizeMaxPanics)
+{
+    GlobalMemory m(1024, cm());
+    EXPECT_DEATH(m.alloc(SIZE_MAX), "device memory exhausted");
 }
 
 } // namespace
