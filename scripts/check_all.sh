@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # The full analysis matrix (see docs/ANALYSIS.md):
 #
-#   1. aplint      - the AP_* protocol contracts, source-level
-#                    (leader-only, lockstep, yield, lock-order, linked
-#                    escape, assert purity, plus the interprocedural
-#                    passes: contract propagation, must-check status,
-#                    linked-escape v2, unused waivers); any unwaived
-#                    finding outside tools/aplint/baseline.json fails
+#   1. aplint      - the AP_* protocol contracts, source-level: the
+#                    call contracts (leader-only, lockstep, yield,
+#                    lock-order), each checked once against declared
+#                    and inferred callee contracts, plus linked escape,
+#                    must-check status, assert purity, typestate and
+#                    waiver hygiene; any unwaived finding outside
+#                    tools/aplint/baseline.json fails
 #   2. plain       - the tier-1 suite as shipped
 #   3. simcheck    - tier-1 re-run with AP_SIMCHECK=1, so the race/
 #                    lock-order/invariant analyses are armed; any

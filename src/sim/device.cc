@@ -74,7 +74,7 @@ Device::tryDispatch(LaunchState& ls)
         for (int wi = 0; wi < ls.warpsPerBlock; ++wi) {
             auto warp = std::make_unique<Warp>(
                 ls.nextGlobalWarp++, wi, tb.get(), &mem_, &eng_, &cm_,
-                &stats_, faultpath_);
+                &stats_, simCounters_, faultpath_);
             Warp* wp = warp.get();
             ThreadBlock* tbp = tb.get();
             auto fiber = std::make_unique<Fiber>([this, &ls, wp, tbp] {

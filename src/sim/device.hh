@@ -90,6 +90,7 @@ class Device
     GlobalMemory mem_;
     std::vector<Sm> sms_;
     StatGroup stats_;
+    SimCounters simCounters_{stats_};
     Tracer tracer_;
     FaultPath faultpath_;
 };

@@ -41,7 +41,8 @@ struct PendingLoad
 /**
  * The sim.* counters charged on every instruction, DRAM access, atomic
  * and lock operation. Each is a StatGroup::Counter, resolved once per
- * warp instead of looked up by name on every charge.
+ * device instead of looked up by name on every charge: the Device owns
+ * one set, and every warp of every launch charges through it.
  */
 struct SimCounters
 {
@@ -77,13 +78,14 @@ class Warp
      * @param eng_         event engine
      * @param cm_          timing constants
      * @param stats_       launch-wide statistics sink
+     * @param counters_    the device's handles on stats_'s sim.* counters
      * @param fp_          the device's fault-path recorder
      */
     Warp(int global_id, int warp_in_block, ThreadBlock* tb,
          GlobalMemory* mem_, Engine* eng_, const CostModel* cm_,
-         StatGroup* stats_, FaultPath& fp_)
+         StatGroup* stats_, SimCounters& counters_, FaultPath& fp_)
         : gid(global_id), widInBlock(warp_in_block), tb_(tb), mem_(mem_),
-          eng_(eng_), cm_(cm_), stats_(stats_), counters_(*stats_),
+          eng_(eng_), cm_(cm_), stats_(stats_), counters_(counters_),
           fp_(fp_)
     {
     }
@@ -443,7 +445,7 @@ class Warp
     /** The launch-wide statistics sink. */
     StatGroup& stats() { return *stats_; }
 
-    /** This warp's handles on the hot sim.* counters of stats(). */
+    /** The device's handles on the hot sim.* counters of stats(). */
     SimCounters& counters() { return counters_; }
 
     /** Timing constants. */
@@ -494,7 +496,7 @@ class Warp
     Engine* eng_;
     const CostModel* cm_;
     StatGroup* stats_;
-    SimCounters counters_;
+    SimCounters& counters_;
     FaultPath& fp_;
     uint64_t activeFault_ = 0;
     uint16_t tenant_ = 0;

@@ -201,21 +201,6 @@ majorFault(sim::Warp& w, gpufs::PageCache& cache, gpufs::PageKey key)
 }
 
 /**
- * Resolve each of @p w's own counter handles, charging nothing: a warp
- * resolves them on its first charge, which would count a contended
- * acquire's first lock_contended charge against the wait.
- */
-void
-resolveWarpCounters(sim::Warp& w)
-{
-    sim::SimCounters& c = w.counters();
-    for (StatGroup::Counter* h :
-         {&c.instructions, &c.dramReadBytes, &c.dramWriteBytes, &c.atomics,
-          &c.lockAcquires, &c.lockContended})
-        h->inc(0);
-}
-
-/**
  * Two warps major-fault one page each through a single staging slot,
  * warp 1 starting @p gap cycles after warp 0. A warm-up launch first
  * does the same with a gap of 1, so every device-wide stat handle the
@@ -233,7 +218,6 @@ faultPairAllocs(sim::Cycles gap, sim::Cycles& second_fault)
     const hostio::FileId f = h.bs.create("f", 4 * gpufs::kPageBytes);
     auto pair = [&](uint64_t first_page, sim::Cycles g) {
         h.dev.launch(1, 2, [&](sim::Warp& w) {
-            resolveWarpCounters(w);
             const int id = w.warpInBlock();
             w.stall(1 + id * g);
             const sim::Cycles t0 = w.now();

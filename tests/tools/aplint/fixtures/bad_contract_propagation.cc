@@ -1,8 +1,8 @@
 // Fixture: an AP_NO_YIELD body calling helpers that are not annotated
 // AP_YIELDS but reach a yield point transitively — one hop and two
-// hops deep. The v1 no-yield rule cannot see either; only the
-// bottom-up summary can. Expected: contract-propagation (twice). Lint
-// fodder only; never compiled.
+// hops deep. Only the bottom-up summary sees either, and each finding
+// names its chain. Expected: no-yield (twice). Lint fodder only; never
+// compiled.
 
 struct Engine
 {

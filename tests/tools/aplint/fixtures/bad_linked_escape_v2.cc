@@ -1,8 +1,8 @@
-// Fixture: variable-mediated escapes of a linked raw pointer, the
-// flows v1's direct-expression rule cannot see — returned via a local,
+// Fixture: variable-mediated escapes of a linked raw pointer, beside
+// the direct ones of bad_linked_escape.cc — returned via a local,
 // stored into object state via a local, used after an AP_YIELDS call,
-// and used after the frame is unlinked. Expected: linked-escape-v2
-// (four times). Lint fodder only; never compiled.
+// and used after the frame is unlinked. Expected: linked-escape (four
+// times). Lint fodder only; never compiled.
 
 struct AptrVec
 {

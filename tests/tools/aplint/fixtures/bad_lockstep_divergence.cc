@@ -1,6 +1,6 @@
-// Fixture: an AP_LOCKSTEP method invoked under a guard that depends on
-// the lane index, so only some lanes would reach it. Expected:
-// lockstep-divergence. Lint fodder only; never compiled.
+// Fixture: an AP_LOCKSTEP method invoked under guards that depend on
+// the lane index, in an `if` arm and in an `else` arm. Expected:
+// lockstep-divergence (twice). Lint fodder only; never compiled.
 
 struct AptrVec
 {
@@ -12,4 +12,14 @@ divergentRead(AptrVec& p, int lane)
 {
     if (lane == 0)
         p.read(lane);
+}
+
+void
+divergentElse(AptrVec& p, int lane, int* out)
+{
+    if (lane == 0) {
+        *out = 0;
+    } else {
+        p.read(lane);
+    }
 }

@@ -87,7 +87,7 @@ TEST(Dataflow, LoopWideningCatchesYieldOnBackEdge)
         "  return acc;\n"
         "}\n");
     ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].rule, "linked-escape-v2");
+    EXPECT_EQ(out[0].rule, "linked-escape");
     EXPECT_NE(out[0].message.find("block"), std::string::npos);
 
     // Relinking inside the loop before the use keeps it fresh: clean.

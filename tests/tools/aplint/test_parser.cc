@@ -114,6 +114,36 @@ TEST(Parser, UnbracedStatementScopesCloseAtSemicolon)
     EXPECT_EQ(f->scopes[h->scope].kind, ScopeKind::Body);
 }
 
+TEST(Parser, ElseArmsTakeTheConditionsBeforeThem)
+{
+    // An `else` runs under the negation of its `if`, and an `else if`
+    // under its own condition and the ones before it, so a lane test
+    // anywhere up the chain makes the arm divergent.
+    FileModel m = parseFile("t.cc",
+                            "void f(int lane, bool ok) {\n"
+                            "  if (lane == 0) {\n"
+                            "    g();\n"
+                            "  } else if (ok) {\n"
+                            "    h();\n"
+                            "  } else\n"
+                            "    k();\n"
+                            "}\n");
+    const Func* f = funcNamed(m, "f");
+    ASSERT_NE(f, nullptr);
+    auto scopeOf = [&](const std::string& callee) -> const ScopeNode& {
+        for (const Call& c : f->calls)
+            if (c.callee == callee)
+                return f->scopes[c.scope];
+        ADD_FAILURE() << callee << " not found";
+        return f->scopes[0];
+    };
+    const std::vector<std::string> both = {"lane", "ok"};
+    EXPECT_EQ(scopeOf("h").kind, ScopeKind::If);
+    EXPECT_EQ(scopeOf("h").condIdents, both);
+    EXPECT_EQ(scopeOf("k").kind, ScopeKind::Else);
+    EXPECT_EQ(scopeOf("k").condIdents, both);
+}
+
 TEST(Parser, RecordsCallReceivers)
 {
     FileModel m = parseFile("t.cc",

@@ -2,7 +2,7 @@
  * @file
  * The abstract-interpretation driver behind aplint's flow-sensitive
  * passes: one token walker over a function body, parameterized by an
- * abstract domain. dataflow.cc (must-check-status, linked-escape-v2)
+ * abstract domain. dataflow.cc (must-check-status, linked-escape)
  * and typestate.cc (ref-balance) are its two domains; every
  * control-flow decision lives here, so both read the same program.
  *

@@ -1,13 +1,12 @@
 /**
  * @file
  * Whole-program layer over the per-file parser output: a call graph
- * keyed by unqualified function name, bottom-up contract summaries
+ * keyed by unqualified function name and bottom-up contract summaries
  * (effective AP_YIELDS / AP_LOCKSTEP / AP_LEADER_ONLY / AP_ACQUIRES /
- * AP_TRANSITIONS inferred from callees by one fixpoint), and the
- * `contract-propagation` rule pass that diagnoses call sites whose
- * declared contract contradicts the inferred summary — including the
- * interprocedural lock-order closure ranked by ap::kLockOrder, the
- * table simcheck's runtime lock graph ranks by too.
+ * AP_TRANSITIONS inferred from callees by one fixpoint). The rule
+ * engine (rules.hh) checks every call site against these summaries,
+ * the lock-order closure included, so declared and inferred contracts
+ * are one check.
  *
  * Soundness limits are documented in DESIGN.md: functions are merged
  * across overloads and classes by unqualified name, calls through
@@ -73,6 +72,9 @@ struct Summaries
     std::map<std::string, std::string> yieldsWitness;
     std::map<std::string, std::string> lockstepWitness;
     std::map<std::string, std::string> leaderOnlyWitness;
+    /** lock class -> (name -> chain) for each inferred acquire. */
+    std::map<std::string, std::map<std::string, std::string>>
+        acquiresWitness;
     /** name -> class -> net ref effect over all return paths
      *  (unannotated bodies only; see computeRefSummaries). */
     std::map<std::string, std::map<std::string, Interval>> refEffects;
@@ -86,13 +88,11 @@ CallGraph buildCallGraph(const std::vector<FileModel>& files);
 Summaries propagate(const CallGraph& cg, const GlobalModel& g);
 
 /**
- * The contract-propagation rule: per-file pass diagnosing contracts
- * contradicted by inferred summaries (declared-annotation violations
- * stay with the v1 rules, so no call site is reported twice).
+ * "callee", or "callee -> rest-of-chain" when @p witness explains an
+ * inferred contract of @p callee; capped for readability.
  */
-void runPropagation(const FileModel& m, const GlobalModel& g,
-                    const CallGraph& cg, const Summaries& sums,
-                    std::vector<Finding>& findings);
+std::string chainVia(const std::string& callee,
+                     const std::map<std::string, std::string>& witness);
 
 } // namespace ap::lint
 

@@ -181,14 +181,22 @@ class FlowAnalyzer : public AbsInt<FlowAnalyzer, State>
                 st.erase(name);
                 trackVar(st, name, *prod, isStatus, depth());
             }
-        } else if (eq < end && lhsMember && prod == nullptr) {
+        } else if (eq < end && lhsMember && prod) {
+            // Member store straight from a linked pointer's producer.
+            if (isLinked && chainStart(toks_, prod->tokIndex) == eq + 1)
+                report(prod->line, "linked-escape",
+                       "storing the linked pointer from '" +
+                           prod->callee +
+                           "' into object state lets it outlive the "
+                           "linking scope");
+        } else if (eq < end && lhsMember) {
             // Member store: a live linked local leaking into object
-            // state. (A direct linked call on the RHS is v1's case.)
+            // state.
             for (const auto& [name, v] : st) {
                 if (!v.isLinked || v.stale)
                     continue;
                 if (rangeHasIdent(eq + 1, end, name)) {
-                    report(toks_[pos].line, "linked-escape-v2",
+                    report(toks_[pos].line, "linked-escape",
                            "storing raw pointer '" + name + "' (from '" +
                                v.origin + "', line " +
                                std::to_string(v.declLine) +
@@ -243,10 +251,19 @@ class FlowAnalyzer : public AbsInt<FlowAnalyzer, State>
 
     void ret(size_t begin, size_t end, State& st)
     {
-        // Returning a linked local hands the caller a pointer that
-        // dies with this frame's link — unless this function is
-        // itself annotated as vending linked pointers.
+        // Returning a linked pointer, straight from its producer or
+        // through a local, hands the caller a pointer that dies with
+        // this frame's link — unless this function is itself
+        // annotated as vending linked pointers.
         bool wrapper = g_.returnsLinked.count(f_.name) > 0;
+        for (const Call* c : callsIn(begin, end)) {
+            if (!wrapper && g_.returnsLinked.count(c->callee) &&
+                chainStart(toks_, c->tokIndex) == begin) {
+                report(c->line, "linked-escape",
+                       "returning the linked pointer from '" + c->callee +
+                           "' lets it outlive the linking scope");
+            }
+        }
         int paren = 0;
         for (size_t i = begin; i < end; ++i) {
             const std::string& tx = text(i);
@@ -263,7 +280,7 @@ class FlowAnalyzer : public AbsInt<FlowAnalyzer, State>
             // Only the returned value itself escapes; a linked var
             // passed as a call argument (paren > 0) stays in-frame.
             if (v.isLinked && !wrapper && paren == 0) {
-                reportVar(it->first, v, toks_[i].line, "linked-escape-v2",
+                reportVar(it->first, v, toks_[i].line, "linked-escape",
                           "returning raw pointer '" + it->first +
                               "' (from '" + v.origin + "', line " +
                               std::to_string(v.declLine) +
@@ -382,7 +399,7 @@ class FlowAnalyzer : public AbsInt<FlowAnalyzer, State>
             if (v.isStatus)
                 v.read = true;
             if (v.isLinked && v.stale) {
-                reportVar(vit->first, v, toks_[i].line, "linked-escape-v2",
+                reportVar(vit->first, v, toks_[i].line, "linked-escape",
                           "raw pointer '" + vit->first + "' from '" +
                               v.origin + "' (line " +
                               std::to_string(v.declLine) +

@@ -14,14 +14,15 @@
  *                      condition, comparison, argument, return, or
  *                      member access — counts as an inspection.
  *
- *   linked-escape-v2   A local raw pointer initialized from an
- *                      AP_RETURNS_LINKED / AP_REQUIRES_LINKED call
- *                      that is returned, stored into a field/global,
- *                      or used after an AP_YIELDS call (declared or
- *                      inferred, see callgraph.hh) or after the source
- *                      translation is unlinked. Complements the v1
- *                      linked-escape rule, which only sees escapes of
- *                      the call expression itself.
+ *   linked-escape      The raw pointer from an AP_REQUIRES_LINKED /
+ *                      AP_RETURNS_LINKED call escapes its link: it is
+ *                      returned or stored into a field, straight from
+ *                      the call (`return p.linkedFramePtr(0)`) or
+ *                      through a local, or a local holding it is used
+ *                      after an AP_YIELDS call (declared or inferred,
+ *                      see callgraph.hh) or after the source
+ *                      translation is unlinked. A function annotated
+ *                      as vending linked pointers may return one.
  *
  * Lattices are deliberately tiny: status locals carry one bit (read /
  * unread, joined with AND so "inspected on every path" is required);

@@ -268,8 +268,7 @@ analyze(const Options& opts)
     computeRefSummaries(models, g, cg, sums);
     for (const FileModel& m : models) {
         const auto f0 = std::chrono::steady_clock::now();
-        runRules(m, g, report.findings);
-        runPropagation(m, g, cg, sums, report.findings);
+        runRules(m, g, sums, report.findings);
         runDataflow(m, g, &sums, report.findings);
         runTypestate(m, g, &sums, report.findings);
         if (opts.stats) {

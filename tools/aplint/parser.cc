@@ -482,6 +482,7 @@ class Parser
         std::vector<OpenScope> stack{{0, true}};
         int braceDepth = 1;
         int parenDepth = 0;
+        std::vector<std::string> elseCond; ///< carried into an `else if`
         ++pos;
 
         auto topScope = [&]() { return stack.back().idx; };
@@ -554,7 +555,9 @@ class Parser
                 ++pos;
                 if (at("constexpr"))
                     ++pos;
+                // An `else if` also runs under the conditions before it.
                 std::vector<std::string> cond;
+                cond.swap(elseCond);
                 if (at("(")) {
                     int d = 0;
                     while (!done()) {
@@ -590,15 +593,26 @@ class Parser
                 continue;
             }
             if (t.kind == Tok::Ident && s == "else") {
+                // The arm runs under the condition of the `if` it
+                // closes: the latest `if` opened in this scope.
+                std::vector<std::string> cond;
+                for (size_t i = f.scopes.size(); i-- > 0;) {
+                    if (f.scopes[i].parent == topScope() &&
+                        f.scopes[i].kind == ScopeKind::If) {
+                        cond = f.scopes[i].condIdents;
+                        break;
+                    }
+                }
                 ++pos;
-                if (at("if"))
-                    continue; // handled by the `if` branch above
+                if (at("if")) {
+                    elseCond = std::move(cond); // the `if` branch above
+                    continue;
+                }
+                pushScope(ScopeKind::Else, std::move(cond), t.line,
+                          at("{"));
                 if (at("{")) {
-                    pushScope(ScopeKind::Else, {}, t.line, true);
                     ++braceDepth;
                     ++pos;
-                } else {
-                    pushScope(ScopeKind::Else, {}, t.line, false);
                 }
                 continue;
             }

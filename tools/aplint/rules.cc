@@ -1,6 +1,7 @@
 #include "rules.hh"
 
-#include <algorithm>
+#include "callgraph.hh"
+
 #include <cctype>
 
 namespace ap::lint {
@@ -14,12 +15,6 @@ lower(std::string s)
         c = static_cast<char>(
             std::tolower(static_cast<unsigned char>(c)));
     return s;
-}
-
-bool
-annotatedGlobally(const std::set<std::string>& set, const Func& f)
-{
-    return set.count(f.name) > 0;
 }
 
 /**
@@ -75,8 +70,6 @@ tableRows(const FileModel& m, const std::string& name)
     return rows;
 }
 
-} // namespace
-
 /**
  * Is this condition identifier lane-dependent? Matches the lane index
  * itself and leader variables, but deliberately not plural masks
@@ -89,6 +82,20 @@ laneIsh(const std::string& ident)
     std::string l = lower(ident);
     return l == "lane" || l == "leader" || l == "lid" ||
            l.find("laneid") != std::string::npos;
+}
+
+/**
+ * The innermost scope around @p s whose condition is lane-dependent
+ * (an `if`, its `else`, or a loop), or null if the call is uniform.
+ */
+const ScopeNode*
+divergentGuard(const Func& f, int s)
+{
+    for (; s >= 0; s = f.scopes[s].parent)
+        for (const std::string& id : f.scopes[s].condIdents)
+            if (laneIsh(id))
+                return &f.scopes[s];
+    return nullptr;
 }
 
 /** Find `auto& lk = ... <registered>() ...;` aliases in a body. */
@@ -113,6 +120,18 @@ collectAliases(const FileModel& m, const Func& f, const GlobalModel& g)
     }
     return aliases;
 }
+
+/** A [acquire, release) span of a registered lock class, token order. */
+struct HeldRegion
+{
+    std::string lockClass;
+    size_t beginTok; ///< token index of the acquire callee
+    size_t endTok;   ///< token index of the release, or SIZE_MAX
+    int line;
+
+    /** Is the token strictly inside the span? */
+    bool holds(size_t tok) const { return tok > beginTok && tok < endTok; }
+};
 
 /** Pair up acquire/release call sites into held regions. */
 std::vector<HeldRegion>
@@ -141,10 +160,32 @@ computeHeldRegions(const Func& f, const GlobalModel& g,
     return regions;
 }
 
-bool
-inRegion(const HeldRegion& r, size_t tok)
+/**
+ * " by inference (callee -> ... -> leaf)" when @p witness explains
+ * @p callee's contract, which is then inferred; "" for a declared one.
+ */
+std::string
+inferred(const std::string& callee,
+         const std::map<std::string, std::string>& witness)
 {
-    return tok > r.beginTok && tok < r.endTok;
+    if (!witness.count(callee))
+        return "";
+    return " by inference (" + chainVia(callee, witness) + ")";
+}
+
+} // namespace
+
+bool
+electsBefore(const Func& f, size_t tok)
+{
+    bool ballot = false, ffs = false;
+    for (const Call& c : f.calls) {
+        if (c.tokIndex >= tok)
+            break;
+        ballot = ballot || c.callee == "ballot";
+        ffs = ffs || lower(c.callee).find("ffs") != std::string::npos;
+    }
+    return ballot && ffs;
 }
 
 size_t
@@ -188,119 +229,83 @@ namespace {
 
 // ---- individual rules --------------------------------------------------
 
+/**
+ * The four call contracts, checked once per call site against @p s,
+ * which holds declared and inferred contracts alike. Who the caller
+ * is (leader context, AP_NO_YIELD, its AP_ACQUIRES) is always read
+ * from its declarations.
+ */
 void
-ruleLeaderOnly(const FileModel& m, const Func& f, const GlobalModel& g,
-               std::vector<Finding>& out)
+ruleCallContracts(const FileModel& m, const Func& f, const GlobalModel& g,
+                  const Summaries& s, std::vector<Finding>& out)
 {
-    if (annotatedGlobally(g.leaderOnly, f) ||
-        annotatedGlobally(g.electsLeader, f))
-        return;
-    for (const Call& c : f.calls) {
-        if (!g.leaderOnly.count(c.callee) || c.callee == f.name)
-            continue;
-        // Leader election evidence: a ballot and an ffs-style scan
-        // earlier in the same body (paper Listing 1's idiom).
-        bool sawBallot = false, sawFfs = false;
-        for (const Call& prior : f.calls) {
-            if (prior.tokIndex >= c.tokIndex)
-                break;
-            if (prior.callee == "ballot")
-                sawBallot = true;
-            if (lower(prior.callee).find("ffs") != std::string::npos)
-                sawFfs = true;
-        }
-        if (sawBallot && sawFfs)
-            continue;
-        emit(out, m, c.line, "leader-only",
-             "'" + c.callee + "' is AP_LEADER_ONLY but '" + f.name +
-                 "' neither elects a leader (ballot+ffs) nor is "
-                 "marked AP_LEADER_ONLY/AP_ELECTS_LEADER");
-    }
-}
-
-void
-ruleLockstepDivergence(const FileModel& m, const Func& f,
-                       const GlobalModel& g, std::vector<Finding>& out)
-{
-    for (const Call& c : f.calls) {
-        if (!g.lockstep.count(c.callee) || c.callee == f.name)
-            continue;
-        for (int s = c.scope; s >= 0; s = f.scopes[s].parent) {
-            const ScopeNode& sc = f.scopes[s];
-            if (sc.kind != ScopeKind::If && sc.kind != ScopeKind::Loop &&
-                sc.kind != ScopeKind::Else)
-                continue;
-            const ScopeNode& condScope =
-                sc.kind == ScopeKind::Else && sc.parent >= 0
-                    ? f.scopes[s] // else has no cond of its own; skip
-                    : sc;
-            bool divergent = false;
-            for (const std::string& id : condScope.condIdents) {
-                if (laneIsh(id)) {
-                    divergent = true;
-                    break;
-                }
-            }
-            if (divergent) {
-                emit(out, m, c.line, "lockstep-divergence",
-                     "'" + c.callee +
-                         "' is AP_LOCKSTEP but is called under a "
-                         "lane-divergent guard (line " +
-                         std::to_string(sc.line) + ")");
-                break;
-            }
-        }
-    }
-}
-
-void
-ruleNoYield(const FileModel& m, const Func& f, const GlobalModel& g,
-            const std::vector<HeldRegion>& regions,
-            std::vector<Finding>& out)
-{
-    bool noYieldFn = annotatedGlobally(g.noYield, f);
-    for (const Call& c : f.calls) {
-        if (!g.yields.count(c.callee) || c.callee == f.name)
-            continue;
-        if (noYieldFn) {
-            emit(out, m, c.line, "no-yield",
-                 "'" + c.callee + "' may yield the fiber but '" +
-                     f.name + "' is AP_NO_YIELD");
-            continue;
-        }
-        // Lock handoff itself (acquire/release of a later class) is
-        // governed by the lock-order rule, not this one.
-        if (c.callee == "acquire" || c.callee == "release" ||
-            c.callee == "tryAcquire")
-            continue;
-        for (const HeldRegion& r : regions) {
-            if (inRegion(r, c.tokIndex)) {
-                emit(out, m, c.line, "no-yield",
-                     "'" + c.callee +
-                         "' may yield the fiber while lock class '" +
-                         r.lockClass + "' (acquired line " +
-                         std::to_string(r.line) + ") is held");
-                break;
-            }
-        }
-    }
-}
-
-void
-ruleLockOrder(const FileModel& m, const Func& f, const GlobalModel& g,
-              const std::map<std::string, std::string>& aliases,
-              const std::vector<HeldRegion>& regions,
-              std::vector<Finding>& out)
-{
+    const auto aliases = collectAliases(m, f, g);
+    const auto regions = computeHeldRegions(f, g, aliases);
+    const bool leaderCtx =
+        g.leaderOnly.count(f.name) || g.electsLeader.count(f.name);
+    const bool noYieldFn = g.noYield.count(f.name) > 0;
     auto declares = [&](const std::string& cls) {
         auto it = g.acquires.find(f.name);
         return it != g.acquires.end() && it->second.count(cls) > 0;
     };
-    auto rank = [&](const std::string& cls) {
-        auto it = g.lockRank.find(cls);
-        return it == g.lockRank.end() ? -1 : it->second;
+    // Taking class `d` while `held` is held needs held < d.
+    auto misordered = [&](const std::string& held, const std::string& d) {
+        auto h = g.lockRank.find(held), n = g.lockRank.find(d);
+        return held != d && h != g.lockRank.end() &&
+               n != g.lockRank.end() && h->second >= n->second;
     };
+
     for (const Call& c : f.calls) {
+        if (c.callee == f.name)
+            continue;
+
+        // Leader election evidence: paper Listing 1's ballot and ffs
+        // earlier in the same body.
+        if (s.leaderOnly.count(c.callee) && !leaderCtx &&
+            !electsBefore(f, c.tokIndex)) {
+            emit(out, m, c.line, "leader-only",
+                 "'" + c.callee + "' is AP_LEADER_ONLY" +
+                     inferred(c.callee, s.leaderOnlyWitness) + " but '" +
+                     f.name +
+                     "' neither elects a leader (ballot+ffs) nor is "
+                     "marked AP_LEADER_ONLY/AP_ELECTS_LEADER");
+        }
+
+        if (s.lockstep.count(c.callee)) {
+            if (const ScopeNode* guard = divergentGuard(f, c.scope))
+                emit(out, m, c.line, "lockstep-divergence",
+                     "'" + c.callee + "' is AP_LOCKSTEP" +
+                         inferred(c.callee, s.lockstepWitness) +
+                         " but is called under a lane-divergent guard "
+                         "(line " +
+                         std::to_string(guard->line) + ")");
+        }
+
+        if (s.yields.count(c.callee)) {
+            const std::string yields =
+                "'" + c.callee + "' may yield the fiber" +
+                inferred(c.callee, s.yieldsWitness);
+            // Lock handoff itself (acquire/release of a later class)
+            // is governed by lock-order, not by the held-lock check.
+            const bool lockOp = c.callee == "acquire" ||
+                                c.callee == "release" ||
+                                c.callee == "tryAcquire";
+            if (noYieldFn) {
+                emit(out, m, c.line, "no-yield",
+                     yields + " but '" + f.name + "' is AP_NO_YIELD");
+            } else if (!lockOp) {
+                for (const HeldRegion& r : regions) {
+                    if (!r.holds(c.tokIndex))
+                        continue;
+                    emit(out, m, c.line, "no-yield",
+                         yields + " while lock class '" + r.lockClass +
+                             "' (acquired line " +
+                             std::to_string(r.line) + ") is held");
+                    break;
+                }
+            }
+        }
+
         if (c.callee == "acquire") {
             std::string cls = resolveLockClass(c.receiver, g, aliases);
             if (cls.empty())
@@ -312,69 +317,34 @@ ruleLockOrder(const FileModel& m, const Func& f, const GlobalModel& g,
                          "\")");
             }
             for (const HeldRegion& r : regions) {
-                if (r.lockClass == cls || !inRegion(r, c.tokIndex))
-                    continue;
-                if (rank(r.lockClass) >= 0 && rank(cls) >= 0 &&
-                    rank(r.lockClass) >= rank(cls)) {
+                if (r.holds(c.tokIndex) && misordered(r.lockClass, cls))
                     emit(out, m, c.line, "lock-order",
                          "acquiring '" + cls + "' while holding '" +
                              r.lockClass +
                              "' violates the declared order");
-                }
             }
             continue;
         }
-        // Interprocedural: calling something that acquires class D
-        // while holding class C needs C < D in the declared order.
-        auto it = g.acquires.find(c.callee);
-        if (it == g.acquires.end() || c.callee == f.name)
+        // Calling something that may acquire class D while holding
+        // class C needs C < D in the declared order.
+        auto acq = s.acquires.find(c.callee);
+        if (acq == s.acquires.end())
             continue;
         for (const HeldRegion& r : regions) {
-            if (!inRegion(r, c.tokIndex))
+            if (!r.holds(c.tokIndex))
                 continue;
-            for (const std::string& d : it->second) {
-                if (d == r.lockClass)
+            for (const std::string& d : acq->second) {
+                if (!misordered(r.lockClass, d))
                     continue;
-                if (rank(r.lockClass) >= 0 && rank(d) >= 0 &&
-                    rank(r.lockClass) >= rank(d)) {
-                    emit(out, m, c.line, "lock-order",
-                         "'" + c.callee + "' may acquire '" + d +
-                             "' while '" + r.lockClass +
-                             "' is held, violating the declared "
-                             "order");
-                }
+                auto w = s.acquiresWitness.find(d);
+                emit(out, m, c.line, "lock-order",
+                     "'" + c.callee + "' may acquire '" + d + "'" +
+                         (w == s.acquiresWitness.end()
+                              ? ""
+                              : inferred(c.callee, w->second)) +
+                         " while '" + r.lockClass +
+                         "' is held, violating the declared order");
             }
-        }
-    }
-}
-
-void
-ruleLinkedEscape(const FileModel& m, const Func& f, const GlobalModel& g,
-                 std::vector<Finding>& out)
-{
-    const auto& toks = m.lx.tokens;
-    for (const Call& c : f.calls) {
-        if (!g.requiresLinked.count(c.callee) || c.callee == f.name)
-            continue;
-        size_t s = chainStart(toks, c.tokIndex);
-        if (s == 0)
-            continue;
-        const Token& before = toks[s - 1];
-        if (before.text == "return" &&
-            !annotatedGlobally(g.requiresLinked, f)) {
-            emit(out, m, c.line, "linked-escape",
-                 "returning the AP_REQUIRES_LINKED pointer from '" +
-                     c.callee + "' lets it outlive the linking scope");
-            continue;
-        }
-        if (before.text == "=" && s >= 3 &&
-            toks[s - 2].kind == Tok::Ident &&
-            (toks[s - 3].text == "." || toks[s - 3].text == "->")) {
-            emit(out, m, c.line, "linked-escape",
-                 "storing the AP_REQUIRES_LINKED pointer from '" +
-                     c.callee +
-                     "' into object state lets it outlive the "
-                     "linking scope");
         }
     }
 }
@@ -438,9 +408,8 @@ knownRules()
     static const std::set<std::string> kRules = {
         "leader-only",   "lockstep-divergence", "no-yield",
         "lock-order",    "linked-escape",       "assert-side-effect",
-        "waiver-syntax", "must-check-status",   "linked-escape-v2",
-        "contract-propagation", "unused-waiver", "ref-balance",
-        "state-edge",    "transition-decl",
+        "waiver-syntax", "must-check-status",   "unused-waiver",
+        "ref-balance",   "state-edge",          "transition-decl",
     };
     return kRules;
 }
@@ -458,10 +427,8 @@ buildGlobal(const std::vector<FileModel>& files)
                     g.leaderOnly.insert(f.name);
                 else if (a.name == "AP_ELECTS_LEADER")
                     g.electsLeader.insert(f.name);
-                else if (a.name == "AP_REQUIRES_LINKED") {
-                    g.requiresLinked.insert(f.name);
-                    g.returnsLinked.insert(f.name);
-                } else if (a.name == "AP_RETURNS_LINKED")
+                else if (a.name == "AP_REQUIRES_LINKED" ||
+                         a.name == "AP_RETURNS_LINKED")
                     g.returnsLinked.insert(f.name);
                 else if (a.name == "AP_MUST_CHECK")
                     g.mustCheck.insert(f.name);
@@ -496,19 +463,13 @@ buildGlobal(const std::vector<FileModel>& files)
 }
 
 void
-runRules(const FileModel& m, const GlobalModel& g,
+runRules(const FileModel& m, const GlobalModel& g, const Summaries& sums,
          std::vector<Finding>& findings)
 {
     for (const Func& f : m.funcs) {
         if (!f.hasBody)
             continue;
-        auto aliases = collectAliases(m, f, g);
-        auto regions = computeHeldRegions(f, g, aliases);
-        ruleLeaderOnly(m, f, g, findings);
-        ruleLockstepDivergence(m, f, g, findings);
-        ruleNoYield(m, f, g, regions, findings);
-        ruleLockOrder(m, f, g, aliases, regions, findings);
-        ruleLinkedEscape(m, f, g, findings);
+        ruleCallContracts(m, f, g, sums, findings);
         ruleAssertSideEffect(m, f, findings);
     }
     if (!g.lockRank.empty())

@@ -1,38 +1,25 @@
 /**
  * @file
  * The aplint rule engine: cross-file registries built from AP_*
- * annotations plus the per-file checks. Rule IDs (see docs/ANALYSIS.md
- * "Static matrix"):
+ * annotations plus the per-file checks. Its rule IDs (the catalog of
+ * twelve is in docs/ANALYSIS.md, "Static matrix"):
  *
- *   leader-only          AP_LEADER_ONLY callee without leader election
- *   lockstep-divergence  AP_LOCKSTEP call under a divergent lane guard
- *   no-yield             yielding call in AP_NO_YIELD or under a lock
- *   lock-order           undeclared/misordered registered-lock acquire
- *   linked-escape        AP_REQUIRES_LINKED pointer escapes its scope
+ *   leader-only          leader-only callee without a leader election
+ *   lockstep-divergence  lockstep callee under a lane-divergent guard
+ *   no-yield             yielding callee in AP_NO_YIELD or under a lock
+ *   lock-order           unranked lock class, undeclared acquire, or a
+ *                        nesting against the declared order
  *   assert-side-effect   AP_ASSERT/AP_CHECK condition mutates state
  *   waiver-syntax        malformed or unknown aplint waiver comment
  *
- * The v2 whole-program layer (callgraph.hh, dataflow.hh) adds:
+ * The first four are the call contracts. Each call site is checked
+ * once, against the effective summaries of callgraph.hh: a callee's
+ * contract is declared or inferred from its callees, and an inferred
+ * one is reported with its witness chain.
  *
- *   must-check-status    AP_MUST_CHECK result dropped, overwritten, or
- *                        out of scope before inspection
- *   linked-escape-v2     linked raw pointer stored/returned via a
- *                        local, or used after a yield or unlink
- *   contract-propagation declared contract contradicts the summary
- *                        inferred bottom-up from callees
- *   unused-waiver        a waiver whose rule no longer fires there
- *
- * The v3 typestate layer (typestate.hh) adds:
- *
- *   ref-balance          net refcount on a tracked resource class
- *                        violates the function's declared effect
- *                        (AP_ACQUIRES_REF / AP_RELEASES_REF /
- *                        AP_BALANCED) on some path
- *   state-edge           PteState publication outside the function's
- *                        AP_TRANSITIONS declaration, or a declared
- *                        edge with no witnessing publication
- *   transition-decl      malformed or empty AP_TRANSITIONS, or an edge
- *                        not in the registered machine
+ * The other passes add must-check-status and linked-escape
+ * (dataflow.hh), ref-balance, state-edge and transition-decl
+ * (typestate.hh), and unused-waiver (driver.hh).
  *
  * Both protocol tables are read from their one declaration in
  * src/util/annotations.hh: the lock order from the `kLockOrder[]`
@@ -71,12 +58,11 @@ struct GlobalModel
     std::set<std::string> lockstep;       ///< AP_LOCKSTEP
     std::set<std::string> leaderOnly;     ///< AP_LEADER_ONLY
     std::set<std::string> electsLeader;   ///< AP_ELECTS_LEADER
-    std::set<std::string> requiresLinked; ///< AP_REQUIRES_LINKED
     std::set<std::string> noYield;        ///< AP_NO_YIELD
     std::set<std::string> yields;         ///< AP_YIELDS
     std::set<std::string> mustCheck;      ///< AP_MUST_CHECK
-    /** AP_RETURNS_LINKED plus AP_REQUIRES_LINKED (both vend linked
-     *  pointers; the v2 escape rule tracks either). */
+    /** AP_REQUIRES_LINKED plus AP_RETURNS_LINKED: both vend linked
+     *  pointers, which the linked-escape rule tracks. */
     std::set<std::string> returnsLinked;
     /** function name -> lock classes it may acquire (AP_ACQUIRES). */
     std::map<std::string, std::set<std::string>> acquires;
@@ -103,29 +89,11 @@ struct GlobalModel
 void emit(std::vector<Finding>& out, const FileModel& m, int line,
           const char* rule, std::string msg);
 
-/** A [acquire, release) span of a registered lock class, token order. */
-struct HeldRegion
-{
-    std::string lockClass;
-    size_t beginTok; ///< token index of the acquire callee
-    size_t endTok;   ///< token index of the release, or SIZE_MAX
-    int line;
-};
-
-/** Is this condition identifier lane-dependent? */
-bool laneIsh(const std::string& ident);
-
-/** Find `auto& lk = ... <registered>() ...;` aliases in a body. */
-std::map<std::string, std::string>
-collectAliases(const FileModel& m, const Func& f, const GlobalModel& g);
-
-/** Pair up acquire/release call sites into held regions. */
-std::vector<HeldRegion>
-computeHeldRegions(const Func& f, const GlobalModel& g,
-                   const std::map<std::string, std::string>& aliases);
-
-/** Is the token inside the region's (begin, end) span? */
-bool inRegion(const HeldRegion& r, size_t tok);
+/**
+ * Does @p f call a ballot and an ffs-style scan before token @p tok?
+ * That pair is paper Listing 1's leader election.
+ */
+bool electsBefore(const Func& f, size_t tok);
 
 /**
  * Walk back from a call's callee token to the start of its receiver
@@ -139,9 +107,15 @@ const std::set<std::string>& knownRules();
 /** Merge annotations and the protocol tables from every parsed file. */
 GlobalModel buildGlobal(const std::vector<FileModel>& files);
 
-/** Run every rule on one file against the global registries. */
+struct Summaries;
+
+/**
+ * Run every rule of this engine on one file: the call contracts
+ * against the effective summaries @p sums (propagate() seeds them from
+ * @p g's declarations), the rest against @p g alone.
+ */
 void runRules(const FileModel& file, const GlobalModel& g,
-              std::vector<Finding>& findings);
+              const Summaries& sums, std::vector<Finding>& findings);
 
 } // namespace ap::lint
 
