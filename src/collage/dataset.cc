@@ -1,7 +1,9 @@
 #include "collage/dataset.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -15,6 +17,14 @@ namespace {
  * distributions, each a mixture of a few peaks, scaled so every
  * channel's bins sum to kBlockPixels. Matching the scale of block
  * histograms keeps queries and dataset records directly comparable.
+ *
+ * A peak's term depends only on the distance k = |b - center| (the
+ * arguments for b = center - k and center + k are bitwise equal), so
+ * each distance takes one exp. Terms with d^2 > 100 are skipped: amp
+ * < 1.2, so such a term is below 1.2 * exp(-50) ~ 2.3e-22, and every
+ * weight is at least 0.01, half an ulp of which is 2^-60 ~ 8.7e-19.
+ * Adding the term could not change the weight, so every sum is the
+ * one a full 256-bin pass would give.
  */
 void
 generateHistogram(SplitMix64& rng, float* hist)
@@ -23,14 +33,22 @@ generateHistogram(SplitMix64& rng, float* hist)
         float* h = hist + c * 256;
         double total = 0;
         int peaks = 2 + static_cast<int>(rng.nextBounded(3));
-        std::vector<double> weight(256, 0.01);
+        double weight[256];
+        std::fill(weight, weight + 256, 0.01);
         for (int p = 0; p < peaks; ++p) {
             int center = static_cast<int>(rng.nextBounded(256));
             double sigma = 4 + rng.nextFloat() * 24;
             double amp = 0.2 + rng.nextFloat();
-            for (int b = 0; b < 256; ++b) {
-                double d = (b - center) / sigma;
-                weight[b] += amp * std::exp(-0.5 * d * d);
+            int reach = std::max(center, 255 - center);
+            for (int k = 0; k <= reach; ++k) {
+                double d = k / sigma;
+                if (d * d > 100)
+                    break;
+                double term = amp * std::exp(-0.5 * d * d);
+                if (center + k < 256)
+                    weight[center + k] += term;
+                if (k > 0 && center - k >= 0)
+                    weight[center - k] += term;
             }
         }
         for (int b = 0; b < 256; ++b)
@@ -40,18 +58,63 @@ generateHistogram(SplitMix64& rng, float* hist)
     }
 }
 
-/** Sample a channel level from a histogram treated as a distribution. */
-int
-sampleLevel(SplitMix64& rng, const float* channel_hist)
+/**
+ * One channel of a histogram as a distribution to sample levels from:
+ * its running sums, and a guide table (Chen & Asau 1974) holding, for
+ * each integer target j, the first bin whose running sum reaches j.
+ */
+struct LevelSampler
 {
-    float target = rng.nextFloat() * kBlockPixels;
-    float acc = 0;
-    for (int b = 0; b < 256; ++b) {
-        acc += channel_hist[b];
-        if (acc >= target)
-            return b;
+    /** Running sums of the channel's bins; +inf past bin 255. */
+    float cdf[257];
+
+    /** guide[j]: the first bin with cdf >= j (256 if none). */
+    uint16_t guide[kBlockPixels];
+
+    explicit LevelSampler(const float* channel_hist)
+    {
+        float acc = 0;
+        for (int b = 0; b < 256; ++b) {
+            acc += channel_hist[b];
+            cdf[b] = acc;
+        }
+        cdf[256] = std::numeric_limits<float>::infinity();
+        int b = 0;
+        for (int j = 0; j < kBlockPixels; ++j) {
+            while (b < 256 && cdf[b] < static_cast<float>(j))
+                ++b;
+            guide[j] = static_cast<uint16_t>(b);
+        }
     }
-    return 255;
+
+    /**
+     * The first bin whose running sum reaches a uniform target in
+     * [0, kBlockPixels); 255 when none does. The sums never decrease,
+     * so no bin before guide[floor(target)] can reach the target.
+     */
+    int
+    sample(SplitMix64& rng) const
+    {
+        float target = rng.nextFloat() * kBlockPixels;
+        int b = guide[static_cast<int>(target)];
+        while (cdf[b] < target)
+            ++b;
+        return std::min(b, 255);
+    }
+};
+
+/** Fill one block pattern with pixels sampled from histogram @p h. */
+void
+samplePattern(SplitMix64& rng, const float* h, uint32_t* pat)
+{
+    const LevelSampler red(h), green(h + 256), blue(h + 512);
+    for (int i = 0; i < kBlockPixels; ++i) {
+        int r = red.sample(rng);
+        int g = green.sample(rng);
+        int b = blue.sample(rng);
+        pat[i] = (static_cast<uint32_t>(r) << 16) |
+                 (static_cast<uint32_t>(g) << 8) | static_cast<uint32_t>(b);
+    }
 }
 
 } // namespace
@@ -95,6 +158,7 @@ CollageInput
 makeInput(const Dataset& ds, const InputParams& p)
 {
     AP_ASSERT(p.reuse >= 1.0, "reuse must be at least 1");
+    AP_ASSERT(ds.params.numImages > 0, "no dataset images to sample");
     CollageInput in;
     in.numBlocks = p.numBlocks;
     in.reuse = p.reuse;
@@ -111,26 +175,19 @@ makeInput(const Dataset& ds, const InputParams& p)
     // block patterns are sampled from dataset images, and every input
     // block copies one pattern, giving an average reuse of
     // numBlocks/distinct.
-    std::vector<std::vector<uint32_t>> patterns(distinct);
+    std::vector<uint32_t> patterns(static_cast<size_t>(distinct) *
+                                   kBlockPixels);
     for (uint32_t d = 0; d < distinct; ++d) {
         uint32_t img =
             static_cast<uint32_t>(rng.nextBounded(ds.params.numImages));
-        const float* h = ds.histogram(img);
-        patterns[d].resize(kBlockPixels);
-        for (int i = 0; i < kBlockPixels; ++i) {
-            int r = sampleLevel(rng, h);
-            int g = sampleLevel(rng, h + 256);
-            int b = sampleLevel(rng, h + 512);
-            patterns[d][i] = (static_cast<uint32_t>(r) << 16) |
-                             (static_cast<uint32_t>(g) << 8) |
-                             static_cast<uint32_t>(b);
-        }
+        samplePattern(rng, ds.histogram(img),
+                      patterns.data() + static_cast<size_t>(d) * kBlockPixels);
     }
     for (uint32_t blk = 0; blk < p.numBlocks; ++blk) {
-        const auto& pat = patterns[rng.nextBounded(distinct)];
+        size_t d = rng.nextBounded(distinct);
         std::memcpy(in.pixels.data() +
                         static_cast<size_t>(blk) * kBlockPixels,
-                    pat.data(), kBlockPixels * 4);
+                    patterns.data() + d * kBlockPixels, kBlockPixels * 4);
     }
     return in;
 }

@@ -8,6 +8,15 @@
  * index, and input "images" whose blocks sample pixels from chosen
  * dataset images (the choice spread controls the data-reuse knob shown
  * on Fig. 9's right axis).
+ *
+ * Generation is byte-stable: the same parameters give the same
+ * histograms, bucket index, histogram file and input pixels on every
+ * build, so a faster generator must produce the bytes the
+ * straightforward one does. tests/collage/test_input_digest.cc pins a
+ * digest of apbench serve's inputs and checks both generators against
+ * reference code that sums every Gaussian term and scans every running
+ * sum. The build is ISO C++ with no -march, so no product and sum are
+ * contracted into an FMA.
  */
 
 #ifndef AP_COLLAGE_DATASET_HH

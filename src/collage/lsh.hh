@@ -52,13 +52,6 @@ class Lsh
      */
     uint32_t bucketOf(const float* hist, int t) const;
 
-    /** Projection vector j of table t (kBins floats). */
-    const float*
-    projection(int t, int j) const
-    {
-        return proj.data() + (static_cast<size_t>(t) * nProj + j) * kBins;
-    }
-
     /** Total flops of one bucketOf evaluation (for cost accounting). */
     double
     flopsPerQueryTable() const
@@ -71,6 +64,13 @@ class Lsh
     int nProj;
     float quantWidth;
     uint32_t nBuckets;
+
+    /**
+     * The projection vectors, four to a group and interleaved by bin:
+     * element i of projection j of table t sits at
+     * ((t * groups + j / 4) * kBins + i) * 4 + j % 4, with groups =
+     * ceil(K / 4). A group short of four is padded with zeros.
+     */
     std::vector<float> proj;
     std::vector<float> bias;
 };

@@ -144,6 +144,56 @@ TEST(Parser, ElseArmsTakeTheConditionsBeforeThem)
     EXPECT_EQ(scopeOf("k").condIdents, both);
 }
 
+TEST(Parser, DanglingElseBindsToTheInnermostIf)
+{
+    // C++ gives each `else` to the innermost `if` still without one,
+    // even when one `;` closed several unbraced scopes: `k()` is the
+    // `else` arm of `if (b)`, inside `if (a)`; `m()` is the `else` arm
+    // of `if (a)`; and `q()` is the `else` arm of `if (c)`, inside the
+    // unbraced loop.
+    FileModel m = parseFile("t.cc",
+                            "void f(bool a, bool b, bool c, int n) {\n"
+                            "  if (a)\n"
+                            "    if (b)\n"
+                            "      g();\n"
+                            "    else\n"
+                            "      k();\n"
+                            "  else\n"
+                            "    m();\n"
+                            "  for (int i = 0; i < n; ++i)\n"
+                            "    if (c)\n"
+                            "      h();\n"
+                            "    else\n"
+                            "      q();\n"
+                            "}\n");
+    const Func* f = funcNamed(m, "f");
+    ASSERT_NE(f, nullptr);
+    auto scopeOf = [&](const std::string& callee) -> int {
+        for (const Call& c : f->calls)
+            if (c.callee == callee)
+                return c.scope;
+        ADD_FAILURE() << callee << " not found";
+        return 0;
+    };
+    const ScopeNode& k = f->scopes[scopeOf("k")];
+    EXPECT_EQ(k.kind, ScopeKind::Else);
+    EXPECT_EQ(k.condIdents, std::vector<std::string>{"b"});
+    ASSERT_GE(k.parent, 0);
+    EXPECT_EQ(f->scopes[k.parent].kind, ScopeKind::If);
+    EXPECT_EQ(f->scopes[k.parent].condIdents, std::vector<std::string>{"a"});
+
+    const ScopeNode& mm = f->scopes[scopeOf("m")];
+    EXPECT_EQ(mm.kind, ScopeKind::Else);
+    EXPECT_EQ(mm.condIdents, std::vector<std::string>{"a"});
+    EXPECT_EQ(f->scopes[mm.parent].kind, ScopeKind::Body);
+
+    const ScopeNode& q = f->scopes[scopeOf("q")];
+    EXPECT_EQ(q.kind, ScopeKind::Else);
+    EXPECT_EQ(q.condIdents, std::vector<std::string>{"c"});
+    ASSERT_GE(q.parent, 0);
+    EXPECT_EQ(f->scopes[q.parent].kind, ScopeKind::Loop);
+}
+
 TEST(Parser, RecordsCallReceivers)
 {
     FileModel m = parseFile("t.cc",

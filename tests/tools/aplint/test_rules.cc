@@ -48,14 +48,20 @@ expectClean(const Report& r)
 TEST(Rules, LeaderOnly)
 {
     expectExactly(lintFixture("bad_leader_only.cc"), "leader-only", 1);
+    // A ballot, then `fileOffset`: its name contains "ffs", but it is
+    // no find-first-set, so nothing was elected.
+    expectExactly(lintFixture("bad_leader_ffs_name.cc"), "leader-only", 1);
     expectClean(lintFixture("good_leader_only.cc"));
 }
 
 TEST(Rules, LockstepDivergence)
 {
-    // Under an `if` on the lane, and in the `else` arm of one.
+    // Under an `if` on the lane, in the `else` arm of one, in the
+    // dangling `else` of an inner unbraced one, in the dangling `else`
+    // of a uniform `if` inside one, and in the `else` of one under an
+    // unbraced loop.
     expectExactly(lintFixture("bad_lockstep_divergence.cc"),
-                  "lockstep-divergence", 2);
+                  "lockstep-divergence", 5);
     expectClean(lintFixture("good_lockstep_divergence.cc"));
 }
 

@@ -1,5 +1,6 @@
 #include "parser.hh"
 
+#include <algorithm>
 #include <set>
 
 namespace ap::lint {
@@ -483,12 +484,17 @@ class Parser
         int braceDepth = 1;
         int parenDepth = 0;
         std::vector<std::string> elseCond; ///< carried into an `else if`
+        /// The unbraced scopes the latest `;` closed, innermost first.
+        std::vector<OpenScope> closed;
         ++pos;
 
         auto topScope = [&]() { return stack.back().idx; };
         auto popUnbraced = [&]() {
-            while (stack.size() > 1 && !stack.back().braced)
+            closed.clear();
+            while (stack.size() > 1 && !stack.back().braced) {
+                closed.push_back(stack.back());
                 stack.pop_back();
+            }
         };
         auto pushScope = [&](ScopeKind k,
                              std::vector<std::string> cond, int line,
@@ -594,13 +600,30 @@ class Parser
             }
             if (t.kind == Tok::Ident && s == "else") {
                 // The arm runs under the condition of the `if` it
-                // closes: the latest `if` opened in this scope.
+                // closes. Right after a `;` that is the innermost `if`
+                // the `;` closed (an `else` scope there already has its
+                // `if`), and the scopes it closed around that `if` open
+                // again: in `if (a) if (b) x; else y;` the arm belongs
+                // to `if (b)` and runs inside `if (a)`. Otherwise it is
+                // the latest `if` opened in this scope.
                 std::vector<std::string> cond;
-                for (size_t i = f.scopes.size(); i-- > 0;) {
-                    if (f.scopes[i].parent == topScope() &&
-                        f.scopes[i].kind == ScopeKind::If) {
-                        cond = f.scopes[i].condIdents;
-                        break;
+                auto isIf = [&](const OpenScope& o) {
+                    return f.scopes[o.idx].kind == ScopeKind::If;
+                };
+                auto inner = closed.end();
+                if (toks[pos - 1].text == ";")
+                    inner = std::find_if(closed.begin(), closed.end(), isIf);
+                if (inner != closed.end()) {
+                    cond = f.scopes[inner->idx].condIdents;
+                    for (auto o = closed.end(); --o != inner;)
+                        stack.push_back(*o);
+                } else {
+                    for (size_t i = f.scopes.size(); i-- > 0;) {
+                        if (f.scopes[i].parent == topScope() &&
+                            f.scopes[i].kind == ScopeKind::If) {
+                            cond = f.scopes[i].condIdents;
+                            break;
+                        }
                     }
                 }
                 ++pos;

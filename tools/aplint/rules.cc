@@ -183,7 +183,8 @@ electsBefore(const Func& f, size_t tok)
         if (c.tokIndex >= tok)
             break;
         ballot = ballot || c.callee == "ballot";
-        ffs = ffs || lower(c.callee).find("ffs") != std::string::npos;
+        ffs = ffs || c.callee == "ffs" || c.callee == "ffs32" ||
+              c.callee == "__ffs";
     }
     return ballot && ffs;
 }

@@ -90,8 +90,9 @@ void emit(std::vector<Finding>& out, const FileModel& m, int line,
           const char* rule, std::string msg);
 
 /**
- * Does @p f call a ballot and an ffs-style scan before token @p tok?
- * That pair is paper Listing 1's leader election.
+ * Does @p f call `ballot` and a find-first-set (`ffs`, `ffs32` or
+ * `__ffs`, matched by name) before token @p tok? That pair is paper
+ * Listing 1's leader election.
  */
 bool electsBefore(const Func& f, size_t tok);
 
